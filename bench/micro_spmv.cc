@@ -1,86 +1,66 @@
-// Microbenchmarks for the SpMV kernels and the recoded executor.
-#include <benchmark/benchmark.h>
-
+// Microbench for the SpMV kernels and the serial recoded engine: plain
+// CSR (serial, row-parallel, merge-path) and RecodedSpmv over a DSH
+// container, each reported as best-of-reps Mnnz/s on the same matrix.
+#include "bench/bench_util.h"
 #include "codec/pipeline.h"
-#include "common/prng.h"
 #include "common/thread_pool.h"
 #include "sparse/generators.h"
 #include "spmv/kernels.h"
 #include "spmv/recoded.h"
 
-namespace recode::spmv {
+namespace recode::bench {
 namespace {
 
-sparse::Csr bench_matrix(std::int64_t n) {
-  return sparse::gen_fem_like(static_cast<sparse::index_t>(n), 12,
-                              static_cast<sparse::index_t>(n / 50 + 8),
+constexpr int kReps = 5;
+constexpr double kMinSeconds = 0.05;
+
+sparse::Csr bench_matrix(sparse::index_t n) {
+  return sparse::gen_fem_like(n, 12, n / 50 + 8,
                               sparse::ValueModel::kSmoothField, 7);
 }
 
 std::vector<double> bench_vector(std::size_t n) {
-  recode::Prng prng(3);
+  Prng prng(3);
   std::vector<double> x(n);
   for (auto& v : x) v = prng.next_double();
   return x;
 }
 
-void BM_SpmvCsrSerial(benchmark::State& state) {
-  const auto a = bench_matrix(state.range(0));
-  const auto x = bench_vector(static_cast<std::size_t>(a.cols));
-  std::vector<double> y(static_cast<std::size_t>(a.rows));
-  for (auto _ : state) {
-    spmv_csr(a, x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nnz()));
-}
-BENCHMARK(BM_SpmvCsrSerial)->Arg(10000)->Arg(50000);
+int run(int argc, char** argv) {
+  Cli cli(argc, argv);
+  BenchReport report(cli, "micro_spmv");
+  cli.done();
+  print_header("micro_spmv", "CSR kernels and serial RecodedSpmv, Mnnz/s");
 
-void BM_SpmvCsrParallel(benchmark::State& state) {
-  const auto a = bench_matrix(state.range(0));
-  const auto x = bench_vector(static_cast<std::size_t>(a.cols));
-  std::vector<double> y(static_cast<std::size_t>(a.rows));
   ThreadPool pool;
-  for (auto _ : state) {
-    spmv_csr_parallel(a, x, y, pool);
-    benchmark::DoNotOptimize(y.data());
+  Table table({"kernel", "rows", "nnz", "Mnnz/s"});
+  for (const sparse::index_t n : {10000, 50000}) {
+    const sparse::Csr a = bench_matrix(n);
+    const auto x = bench_vector(static_cast<std::size_t>(a.cols));
+    std::vector<double> y(static_cast<std::size_t>(a.rows));
+    const auto record = [&](const std::string& name, auto&& multiply) {
+      const double s = best_seconds(kReps, kMinSeconds, multiply);
+      const double mnnz_per_s = static_cast<double>(a.nnz()) / s / 1e6;
+      table.add_row({name, std::to_string(a.rows), std::to_string(a.nnz()),
+                     Table::num(mnnz_per_s, 1)});
+      report.add_result(name + "_n" + std::to_string(n) + "_mnnz_per_s",
+                        mnnz_per_s);
+    };
+    record("csr_serial", [&] { spmv::spmv_csr(a, x, y); });
+    record("csr_parallel", [&] { spmv::spmv_csr_parallel(a, x, y, pool); });
+    record("csr_merge", [&] { spmv::spmv_csr_merge(a, x, y, pool); });
+    if (n == 10000) {
+      const auto cm = codec::compress(a, codec::PipelineConfig::udp_dsh());
+      spmv::RecodedSpmv recoded(cm);
+      record("recoded_software", [&] { recoded.multiply(x, y); });
+    }
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nnz()));
+  table.print();
+  report.write();
+  return 0;
 }
-BENCHMARK(BM_SpmvCsrParallel)->Arg(10000)->Arg(50000);
-
-void BM_SpmvCsrMerge(benchmark::State& state) {
-  const auto a = bench_matrix(state.range(0));
-  const auto x = bench_vector(static_cast<std::size_t>(a.cols));
-  std::vector<double> y(static_cast<std::size_t>(a.rows));
-  ThreadPool pool;
-  for (auto _ : state) {
-    spmv_csr_merge(a, x, y, pool);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nnz()));
-}
-BENCHMARK(BM_SpmvCsrMerge)->Arg(10000)->Arg(50000);
-
-void BM_RecodedSpmvSoftware(benchmark::State& state) {
-  const auto a = bench_matrix(state.range(0));
-  const auto cm = codec::compress(a, codec::PipelineConfig::udp_dsh());
-  RecodedSpmv recoded(cm);
-  const auto x = bench_vector(static_cast<std::size_t>(a.cols));
-  std::vector<double> y(static_cast<std::size_t>(a.rows));
-  for (auto _ : state) {
-    recoded.multiply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nnz()));
-}
-BENCHMARK(BM_RecodedSpmvSoftware)->Arg(10000);
 
 }  // namespace
-}  // namespace recode::spmv
+}  // namespace recode::bench
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return recode::bench::run(argc, argv); }

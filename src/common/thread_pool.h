@@ -1,6 +1,6 @@
 // Minimal work-stealing-free thread pool with a parallel_for helper, plus
-// the bounded queue / cancellation primitives the streaming SpMV executor
-// builds its decode->multiply pipeline on.
+// the completion gate and persistent worker team the streaming SpMV
+// executor and the band runner fan their work out on.
 //
 // Used by the threaded SpMV kernels, the CPU-side block decompression
 // baseline, and spmv::StreamingExecutor. Sized from
@@ -12,7 +12,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -63,118 +62,6 @@ class ThreadPool {
   std::condition_variable idle_cv_;   // signals pending_ == 0
   std::size_t pending_ = 0;           // queued + running tasks
   bool stop_ = false;
-};
-
-// Bounded multi-producer multi-consumer FIFO with blocking push/pop and
-// two shutdown modes:
-//
-//  * close()  — no further pushes; pops drain what is already queued and
-//               then fail. The producer-side "end of stream" signal.
-//  * cancel() — both sides fail immediately, queued items are dropped.
-//               The error path: a failing pipeline stage cancels every
-//               queue it touches so no peer can stay blocked.
-//
-// push/pop return false instead of throwing so pipeline workers can exit
-// their loops without exception plumbing; the first real exception travels
-// through the owning executor instead.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  std::size_t capacity() const { return capacity_; }
-
-  // Blocks while full. Returns false (dropping `item`) once the queue is
-  // closed or cancelled.
-  bool push(T item) {
-    std::size_t depth;
-    return push(std::move(item), depth);
-  }
-
-  // Same, also reporting the queue depth right after the push — the
-  // occupancy sample the streaming telemetry histograms, taken under the
-  // lock the push already holds (no extra acquisition).
-  bool push(T item, std::size_t& depth_after) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [this] {
-      return closed_ || cancelled_ || items_.size() < capacity_;
-    });
-    if (closed_ || cancelled_) return false;
-    items_.push_back(std::move(item));
-    depth_after = items_.size();
-    if (depth_after > high_water_) high_water_ = depth_after;
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  // Blocks while empty. Returns false once cancelled, or once the queue is
-  // closed and fully drained.
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock,
-                    [this] { return cancelled_ || closed_ || !items_.empty(); });
-    if (cancelled_ || items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
-  // Producer-side end of stream: queued items remain poppable.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  // Error-path shutdown: unblocks both sides immediately and drops any
-  // queued items.
-  void cancel() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      cancelled_ = true;
-      items_.clear();
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  bool cancelled() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cancelled_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  // Highest depth the queue ever reached. Monotonic: survives pops,
-  // close() and cancel() (cancel drops the items but not the record of
-  // how full the queue got).
-  std::size_t high_water() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return high_water_;
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<T> items_;
-  std::size_t high_water_ = 0;
-  bool closed_ = false;
-  bool cancelled_ = false;
 };
 
 // Latch-style completion gate for a fixed set of pipeline workers: the

@@ -203,22 +203,14 @@ class WorkStealingScheduler {
   // Quiescent: distribute tasks round-robin across the worker deques,
   // overflowing into the injector when a deque is full. Expects a reset
   // scheduler. Also arms the outstanding-task counter.
-  //
-  // use_workers limits seeding to the first `use_workers` deques (0 =
-  // all) — the streaming executor's split mode seeds only the decoder
-  // deques so every seeded deque has an owner that will drain it on
-  // cancel (non-acquiring workers never touch their deque).
-  void seed(const std::vector<T>& tasks, std::size_t use_workers = 0) {
-    if (use_workers == 0 || use_workers > deques_.size()) {
-      use_workers = deques_.size();
-    }
+  void seed(const std::vector<T>& tasks) {
     std::size_t w = 0;
     for (const T& task : tasks) {
       if (!deques_[w]->push_bottom(task)) {
         std::lock_guard<std::mutex> lock(injector_mu_);
         injector_.push_back(task);
       }
-      w = (w + 1) % use_workers;
+      w = (w + 1) % deques_.size();
     }
     remaining_.store(tasks.size(), std::memory_order_relaxed);
   }

@@ -82,27 +82,21 @@ struct PowerSavings {
   }
 };
 
-// Measured decode/compute pipeline profile of one streaming SpMV run
-// (filled from spmv::StreamingExecutor::last_stats()). The analytic
-// models above assume the UDP decodes *while* the CPU multiplies; this is
-// the empirical counterpart measured on the host-side executor.
+// Measured decode/compute profile of one streaming SpMV run (filled from
+// spmv::StreamingExecutor::last_stats()). The analytic models above
+// assume the UDP decodes *while* the CPU multiplies; this is the
+// empirical counterpart measured on the host-side executor, where every
+// worker runs both stages back to back.
 struct OverlapMeasurement {
-  double wall_seconds = 0.0;          // pipelined wall clock
-  double decode_busy_seconds = 0.0;   // summed over decode workers
-  double compute_busy_seconds = 0.0;  // summed over compute workers
-  int decode_workers = 1;
-  int compute_workers = 1;
-  // Work-stealing fused mode: every worker runs both stages, so the
-  // ideal wall is the total busy time spread over `workers`, not the
-  // max of two dedicated stages. False keeps the split-pipeline model
-  // (dedicated decode_workers / compute_workers).
-  bool fused_workers = false;
-  int workers = 0;  // used only when fused_workers
+  double wall_seconds = 0.0;          // parallel wall clock
+  double decode_busy_seconds = 0.0;   // summed over workers
+  double compute_busy_seconds = 0.0;  // summed over workers
+  int workers = 1;
 };
 
 struct OverlapReport {
-  // Wall clock a perfectly overlapped pipeline would need: the slower
-  // stage running alone across its workers.
+  // Wall clock a perfectly balanced run would need: all busy time spread
+  // evenly over the workers.
   double ideal_wall_seconds = 0.0;
   // Wall clock of the serial chain (decode then multiply, one thread).
   double serial_wall_seconds = 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <string>
 #include <thread>
 
@@ -22,7 +21,6 @@ namespace {
 struct StreamTelemetry {
   telemetry::Counter& runs;
   telemetry::Counter& fused_runs;
-  telemetry::Counter& split_runs;
   telemetry::Counter& inline_runs;
   telemetry::Counter& blocks;
   telemetry::Counter& bytes;
@@ -38,24 +36,18 @@ struct StreamTelemetry {
   telemetry::Counter& decode_busy_ns;
   telemetry::Counter& decode_blocked_ns;
   telemetry::Counter& compute_busy_ns;
-  telemetry::Counter& compute_blocked_ns;
   telemetry::Counter& steal_count;
   telemetry::Counter& steal_attempts;
   telemetry::Counter& local_pops;
   telemetry::Counter& injector_pops;
   telemetry::Histogram& deque_occupancy;    // own-deque depth per acquire
   telemetry::Histogram& acquire_wait_us;    // scheduler spin per task
-  telemetry::Histogram& ready_push_wait_us; // split: decoder backpressured
-  telemetry::Histogram& ready_pop_wait_us;  // split: accumulator starved
-  telemetry::Histogram& ready_occupancy;    // split: depth at each push
-  telemetry::Histogram& free_pop_wait_us;   // split: decoder out of slabs
 
   static StreamTelemetry& get() {
     auto& reg = telemetry::MetricsRegistry::global();
     static StreamTelemetry* t = new StreamTelemetry{
         reg.counter("spmv.stream.runs"),
         reg.counter("spmv.exec.fused_runs"),
-        reg.counter("spmv.exec.split_runs"),
         reg.counter("spmv.exec.inline_runs"),
         reg.counter("spmv.stream.blocks_decoded"),
         reg.counter("spmv.stream.compressed_bytes"),
@@ -71,17 +63,12 @@ struct StreamTelemetry {
         reg.counter("spmv.decode.busy_ns"),
         reg.counter("spmv.decode.blocked_ns"),
         reg.counter("spmv.compute.busy_ns"),
-        reg.counter("spmv.compute.blocked_ns"),
         reg.counter("spmv.steal.count"),
         reg.counter("spmv.steal.attempts"),
         reg.counter("spmv.steal.local_pops"),
         reg.counter("spmv.steal.injector_pops"),
         reg.histogram("spmv.sched.deque_occupancy"),
         reg.histogram("spmv.sched.acquire_wait_us"),
-        reg.histogram("spmv.ready_queue.push_wait_us"),
-        reg.histogram("spmv.ready_queue.pop_wait_us"),
-        reg.histogram("spmv.ready_queue.occupancy"),
-        reg.histogram("spmv.free_queue.pop_wait_us"),
     };
     return *t;
   }
@@ -193,40 +180,22 @@ std::vector<RowBand> split_row_bands(const sparse::Blocking& blocking,
   return out;
 }
 
-WorkerPlan plan_worker_split(std::size_t workers, double decode_fraction) {
-  WorkerPlan plan;
-  if (workers <= 1 || decode_fraction >= 0.5) {
-    plan.decoders = std::max<std::size_t>(1, workers);
-    plan.accumulators = 0;
-    return plan;
-  }
-  auto accumulators = static_cast<std::size_t>(
-      std::lround(static_cast<double>(workers) * (1.0 - decode_fraction)));
-  accumulators = std::clamp<std::size_t>(accumulators, 1, workers - 1);
-  plan.decoders = workers - accumulators;
-  plan.accumulators = accumulators;
-  return plan;
-}
-
 // Per-worker persistent state: the decode arenas (monotonic capacity —
 // the zero-steady-state-allocation reservoir), the lazily built UDP lane
-// simulator, the split-mode slab pool, and this worker's stats slot
-// (written only by the owning worker during a run, read by the caller
-// after the gate).
+// simulator, and this worker's stats slot (written only by the owning
+// worker during a run, read by the caller after the gate).
 struct StreamingExecutor::WorkerState {
-  // Stage-intermediate and output arenas. Fused mode decodes into `out`
-  // and accumulates immediately, so the spans never outlive the arena
-  // contents; split mode copies into a TaskSlab before handoff.
+  // Stage-intermediate and output arenas. Each block is decoded into
+  // `out` and accumulated immediately, so the spans never outlive the
+  // arena contents.
   codec::DecodeArena scratch;
   codec::DecodeArena out;
   std::unique_ptr<udpprog::UdpPipelineDecoder> udp;
-  std::vector<std::unique_ptr<TaskSlab>> slabs;  // built on first split run
 
   // Per-run stats slot, reset by the caller before each run.
   double decode_busy = 0.0;
   double compute_busy = 0.0;
   double decode_blocked = 0.0;
-  double compute_blocked = 0.0;
   std::uint64_t blocks = 0;
   std::uint64_t bytes = 0;
   std::uint64_t udp_cycles = 0;
@@ -236,55 +205,22 @@ struct StreamingExecutor::WorkerState {
   std::exception_ptr error;
 
   void reset_slot() {
-    decode_busy = compute_busy = decode_blocked = compute_blocked = 0.0;
+    decode_busy = compute_busy = decode_blocked = 0.0;
     blocks = bytes = udp_cycles = hit_blocks = 0;
     hit_bands = miss_bands = 0;
     error = nullptr;
   }
 };
 
-// Split mode: one whole decoded task in flight from a decoder to an
-// accumulator. The decoder copies each decoded block out of its arena
-// into the slab's vectors (capacity reused run after run) because the
-// arena is recycled for the next block before the accumulator runs.
-struct StreamingExecutor::TaskSlab {
-  struct Buf {
-    std::vector<sparse::index_t> indices;
-    std::vector<double> values;
-    std::size_t block = 0;
-  };
-  std::vector<Buf> bufs;
-  std::size_t used = 0;   // bufs[0..used) valid for the current task
-  std::size_t owner = 0;  // decoder whose pool this slab belongs to
-  std::size_t task = 0;
-  std::uint64_t udp_cycles = 0;
-};
-
-// What travels through the split-mode ready queue. Cache-served tasks
-// carry the pinned band (the shared_ptr keeps it alive past eviction)
-// and no slab; decoded tasks carry the slab to accumulate from and then
-// recycle to its owner's free queue.
-struct StreamingExecutor::ReadyItem {
-  std::size_t task = 0;
-  TaskSlab* slab = nullptr;
-  std::shared_ptr<const CachedBand> cached;
-};
-
-// Per-run state. The fused path touches only the trivially reusable
-// fields (no allocation); split runs rebuild their queues each call so a
-// cancelled run can never leave a closed/cancelled queue behind.
+// Per-run state: trivially reusable fields, reset by every multiply
+// without allocating.
 struct StreamingExecutor::Run {
   std::span<const double> x;
   std::span<double> y;
   int k = 1;
-  bool fused = true;
-  std::size_t decoders = 0;
-  std::atomic<std::size_t> active_decoders{0};
-  std::unique_ptr<BoundedQueue<ReadyItem>> ready;
-  std::vector<std::unique_ptr<BoundedQueue<TaskSlab*>>> free_qs;
-  // Out-of-core prefetch cursor: next position in `order` to hint to
-  // the source. Shared across workers so prefetch depth tracks global
-  // decode progress regardless of who steals what.
+  // This run's seed order (serpentine: alternates per run), and the
+  // inline path's out-of-core prefetch cursor: the next position in
+  // `order` to hint to the source.
   const std::vector<std::uint32_t>* order = nullptr;
   std::atomic<std::size_t> prefetch_cursor{0};
 };
@@ -299,7 +235,6 @@ StreamingExecutor::StreamingExecutor(const codec::CompressedMatrix& cm,
     config_.decode_threads =
         hw > config_.compute_threads ? hw - config_.compute_threads : 1;
   }
-  if (config_.queue_capacity == 0) config_.queue_capacity = 1;
   if (config_.blocks_per_band == 0) config_.blocks_per_band = 1;
   workers_ = config_.decode_threads + config_.compute_threads;
 
@@ -374,7 +309,7 @@ StreamingExecutor::~StreamingExecutor() = default;
 // order, stale windows pile up against the in-flight byte budget, and
 // once the budget is exhausted by windows only blocked workers would
 // consume, every acquire() deadlocks. They use prefetch_band() on the
-// task they just popped instead (see fused_worker/decode_worker).
+// task they just popped instead (see fused_worker).
 void StreamingExecutor::prefetch_next_band() {
   if (!source_) return;
   const auto& order = *run_->order;
@@ -407,18 +342,11 @@ void StreamingExecutor::prefetch_band(std::uint32_t task) {
   source_->prefetch(band.first_block, band.block_count);
 }
 
-double StreamingExecutor::planning_decode_fraction() const {
-  if (config_.decode_fraction_hint > 0.0) {
-    return std::min(config_.decode_fraction_hint, 1.0);
-  }
-  return decode_fraction_ewma_;
-}
-
 std::size_t StreamingExecutor::scheduler_queued() const {
   return scheduler_ ? scheduler_->queued() : 0;
 }
 
-// One task, fused: decode every block and accumulate it immediately on
+// One task: decode every block and accumulate it immediately on
 // the same worker, in stream order. Serves/warms the band cache.
 void StreamingExecutor::execute_task_fused(WorkerState& ws, std::size_t task,
                                            std::span<const double> x,
@@ -606,287 +534,16 @@ void StreamingExecutor::fused_worker(std::size_t worker) {
   }
 }
 
-void StreamingExecutor::decode_worker(std::size_t worker) {
-  WorkerState& ws = *states_[worker];
-  StreamTelemetry& telem = StreamTelemetry::get();
-  if (telemetry::Tracer::global().enabled()) {
-    telemetry::Tracer::global().set_thread_name("decode-" +
-                                                std::to_string(worker));
-  }
-  try {
-    // Same out-of-core lookahead as fused_worker: prefetch the band of
-    // the task just popped, then decode the one already in hand. The
-    // blocking acquire() is only entered with no task in hand.
-    std::uint32_t task = 0;
-    bool have_task = false;
-    for (;;) {
-      std::uint32_t next = 0;
-      bool got;
-      if (have_task) {
-        got = scheduler_->try_acquire(worker, next);
-        if (got) {
-          telem.deque_occupancy.observe(
-              static_cast<double>(scheduler_->deque_size(worker)));
-          prefetch_band(next);
-        }
-        if (!decode_one_task(worker, ws, task)) break;  // cancelled
-        have_task = false;
-        if (got) {
-          task = next;
-          have_task = true;
-        }
-        continue;
-      }
-      {
-        telemetry::WaitTimer wait(telem.acquire_wait_us, &ws.decode_blocked);
-        got = scheduler_->acquire(worker, next);
-      }
-      if (!got) break;
-      telem.deque_occupancy.observe(
-          static_cast<double>(scheduler_->deque_size(worker)));
-      if (source_) {
-        prefetch_band(next);
-        task = next;
-        have_task = true;
-      } else if (!decode_one_task(worker, ws, next)) {
-        break;  // cancelled
-      }
-    }
-  } catch (...) {
-    ws.error = std::current_exception();
-    scheduler_->cancel();
-    run_->ready->cancel();
-    for (auto& q : run_->free_qs) q->cancel();
-  }
-  // A decoder can exit through a cancelled queue without re-entering
-  // acquire(); drain its deque so "all deques drained after an error"
-  // holds no matter which exit path was taken.
-  if (scheduler_->cancelled()) {
-    std::uint32_t discard;
-    scheduler_->acquire(worker, discard);
-  }
-  // The last decoder out closes the ready stream so idle accumulators
-  // stop waiting for more tasks (a no-op after cancel).
-  if (run_->active_decoders.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    run_->ready->close();
-  }
-  if (ws.error) {
-    gate_->arrive_with_error(ws.error);
-  } else {
-    gate_->arrive();
-  }
-}
-
-// One decode task end-to-end: cache lookup or slab decode, then hand
-// the ReadyItem to the accumulators and complete() the task. Returns
-// false when a cancelled queue ended the run (the caller exits its
-// loop; the surrounding cancel handling drains the deque).
-bool StreamingExecutor::decode_one_task(std::size_t worker, WorkerState& ws,
-                                        std::uint32_t task) {
-  StreamTelemetry& telem = StreamTelemetry::get();
-  const RowBand& band = bands_[task];
-  RECODE_TRACE_SPAN_ARG("spmv", "decode_task", "task", task);
-
-  ReadyItem item;
-  item.task = task;
-  bool served_from_cache = false;
-  if (cache_) {
-    if (auto cached = cache_->lookup(task)) {
-      if (source_) source_->release(band.first_block, band.block_count);
-      ++ws.hit_bands;
-      ws.hit_blocks += cached->blocks.size();
-      item.cached = std::move(cached);
-      served_from_cache = true;
-    } else {
-      ++ws.miss_bands;
-    }
-  }
-
-  if (!served_from_cache) {
-    TaskSlab* slab = nullptr;
-    bool got_slab;
-    {
-      telemetry::WaitTimer wait(telem.free_pop_wait_us, &ws.decode_blocked);
-      got_slab = run_->free_qs[worker]->pop(slab);
-    }
-    if (!got_slab) return false;  // cancelled
-    slab->used = 0;
-    slab->task = task;
-    slab->udp_cycles = 0;
-    if (slab->bufs.size() < band.block_count) {
-      slab->bufs.resize(band.block_count);  // grows once, then reused
-    }
-
-    std::shared_ptr<CachedBand> pending;
-    if (cache_) {
-      std::size_t task_nnz = 0;
-      for (std::size_t i = 0; i < band.block_count; ++i) {
-        task_nnz += cm_->blocking.blocks[band.first_block + i].count;
-      }
-      const std::size_t decoded_bytes = decoded_band_bytes(task_nnz);
-      if (cache_->admissible(decoded_bytes)) {
-        pending = std::make_shared<CachedBand>();
-        pending->blocks.reserve(band.block_count);
-        pending->bytes = decoded_bytes;
-      }
-    }
-
-    if (source_) source_->acquire(band.first_block, band.block_count);
-    try {
-      for (std::size_t i = 0; i < band.block_count; ++i) {
-        const std::size_t b = band.first_block + i;
-        TaskSlab::Buf& buf = slab->bufs[i];
-        RECODE_TRACE_SPAN_ARG("spmv", "decode_block", "block", b);
-        Timer timer;
-        std::size_t stream_bytes = 0;
-        if (source_) {
-          const codec::SourceBlockBytes sb = source_->block(b);
-          const codec::DecodedBlock decoded =
-              codec::decompress_block_fast(*cm_, b, sb.index_data,
-                                           sb.value_data, ws.scratch, ws.out);
-          buf.indices.assign(decoded.indices.begin(), decoded.indices.end());
-          buf.values.assign(decoded.values.begin(), decoded.values.end());
-          stream_bytes = sb.index_data.size() + sb.value_data.size() + 1;
-        } else if (config_.engine == DecodeEngine::kSoftware) {
-          const codec::DecodedBlock decoded =
-              codec::decompress_block_fast(*cm_, b, ws.scratch, ws.out);
-          buf.indices.assign(decoded.indices.begin(), decoded.indices.end());
-          buf.values.assign(decoded.values.begin(), decoded.values.end());
-          stream_bytes = cm_->blocks[b].bytes() + 1;  // +1: codec-id byte
-        } else {
-          if (!ws.udp) {
-            ws.udp = std::make_unique<udpprog::UdpPipelineDecoder>(*cm_);
-          }
-          udpprog::BlockResult result = ws.udp->decode_block(b);
-          buf.indices = std::move(result.indices);
-          buf.values = std::move(result.values);
-          slab->udp_cycles += result.lane_cycles();
-          stream_bytes = cm_->blocks[b].bytes() + 1;
-        }
-        buf.block = b;
-        check_block_indices(buf.indices, cm_->cols);
-        ws.decode_busy += timer.seconds();
-        ++ws.blocks;
-        ws.bytes += stream_bytes;
-        if (pending) {
-          CachedBlock cb;
-          cb.block = b;
-          cb.indices = buf.indices;
-          cb.values = buf.values;
-          pending->blocks.push_back(std::move(cb));
-        }
-        slab->used = i + 1;
-      }
-    } catch (...) {
-      if (source_) source_->release(band.first_block, band.block_count);
-      throw;
-    }
-    if (source_) source_->release(band.first_block, band.block_count);
-    ws.udp_cycles += slab->udp_cycles;
-    if (pending) cache_->insert(task, std::move(pending));
-    item.slab = slab;
-  }
-
-  std::size_t depth = 0;
-  bool pushed;
-  {
-    telemetry::WaitTimer wait(telem.ready_push_wait_us, &ws.decode_blocked);
-    pushed = run_->ready->push(std::move(item), depth);
-  }
-  if (!pushed) return false;  // cancelled
-  telem.ready_occupancy.observe(static_cast<double>(depth));
-  trace_ledger_counters();
-  scheduler_->complete();
-  return true;
-}
-
-void StreamingExecutor::accumulate_worker(std::size_t worker) {
-  WorkerState& ws = *states_[worker];
-  StreamTelemetry& telem = StreamTelemetry::get();
-  if (telemetry::Tracer::global().enabled()) {
-    telemetry::Tracer::global().set_thread_name("acc-" +
-                                                std::to_string(worker));
-  }
-  const std::span<const double> x = run_->x;
-  const std::span<double> y = run_->y;
-  const int k = run_->k;
-  try {
-    ReadyItem item;
-    for (;;) {
-      bool got;
-      {
-        telemetry::WaitTimer wait(telem.ready_pop_wait_us,
-                                  &ws.compute_blocked);
-        got = run_->ready->pop(item);
-      }
-      if (!got) break;
-      RECODE_TRACE_SPAN_ARG("spmv", "accumulate_task", "task", item.task);
-      Timer timer;
-      if (item.cached) {
-        for (const CachedBlock& cb : item.cached->blocks) {
-          const auto& range = cm_->blocking.blocks[cb.block];
-          timer.reset();
-          if (k == 1) {
-            accumulate_block(range, cm_->row_ptr, cb.indices, cb.values, x,
-                             y);
-          } else {
-            accumulate_block_batch(range, cm_->row_ptr, cb.indices,
-                                   cb.values, x, y, k);
-          }
-          ws.compute_busy += timer.seconds();
-        }
-        item.cached.reset();
-      } else {
-        TaskSlab* slab = item.slab;
-        for (std::size_t i = 0; i < slab->used; ++i) {
-          const TaskSlab::Buf& buf = slab->bufs[i];
-          const auto& range = cm_->blocking.blocks[buf.block];
-          timer.reset();
-          if (k == 1) {
-            accumulate_block(range, cm_->row_ptr, buf.indices, buf.values, x,
-                             y);
-          } else {
-            accumulate_block_batch(range, cm_->row_ptr, buf.indices,
-                                   buf.values, x, y, k);
-          }
-          ws.compute_busy += timer.seconds();
-        }
-        if (!run_->free_qs[slab->owner]->push(slab)) break;  // cancelled
-      }
-      trace_ledger_counters();
-    }
-  } catch (...) {
-    ws.error = std::current_exception();
-    scheduler_->cancel();
-    run_->ready->cancel();
-    for (auto& q : run_->free_qs) q->cancel();
-  }
-  if (ws.error) {
-    gate_->arrive_with_error(ws.error);
-  } else {
-    gate_->arrive();
-  }
-}
-
 void StreamingExecutor::worker_trampoline(void* self, std::size_t worker) {
-  auto* exec = static_cast<StreamingExecutor*>(self);
-  if (exec->run_->fused) {
-    exec->fused_worker(worker);
-  } else if (worker < exec->run_->decoders) {
-    exec->decode_worker(worker);
-  } else {
-    exec->accumulate_worker(worker);
-  }
+  static_cast<StreamingExecutor*>(self)->fused_worker(worker);
 }
 
 // Small-matrix path: the whole fused loop on the calling thread, no
 // scheduler, no handoff. Exceptions propagate directly.
 void StreamingExecutor::run_inline(std::span<const double> x,
-                                   std::span<double> y, int k,
-                                   bool reverse) {
+                                   std::span<double> y, int k) {
   WorkerState& ws = *states_[0];
-  const auto& order = reverse ? task_ids_rev_ : task_ids_fwd_;
-  for (const std::uint32_t task : order) {
+  for (const std::uint32_t task : *run_->order) {
     // Keep the out-of-core pipeline one band ahead of the decode (the
     // cursor was primed two deep by multiply_batch); a no-op in-core.
     prefetch_next_band();
@@ -922,8 +579,6 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   // Serpentine scan: see the task_ids_ member comment.
   const bool reverse = (run_counter_++ & 1) == 1;
 
-  const WorkerPlan plan = plan_worker_split(workers_,
-                                            planning_decode_fraction());
   const bool inline_run =
       workers_ == 1 || bands_.size() == 1 ||
       cm_->blocking.blocks.size() <= config_.fused_inline_blocks;
@@ -943,13 +598,10 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   Timer wall;
 
   if (inline_run) {
-    stats_.fused = true;
     stats_.inline_run = true;
     stats_.workers = 1;
-    stats_.decode_threads = 1;
-    stats_.compute_threads = 1;
     try {
-      run_inline(x, y, k, reverse);
+      run_inline(x, y, k);
     } catch (...) {
       finish_run(wall.seconds());
       throw;
@@ -961,41 +613,11 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   run_->x = x;
   run_->y = y;
   run_->k = k;
-  run_->fused = plan.fused();
-  run_->decoders = plan.fused() ? workers_ : plan.decoders;
-  stats_.fused = plan.fused();
   stats_.workers = workers_;
-  if (plan.fused()) {
-    stats_.decode_threads = workers_;
-    stats_.compute_threads = workers_;
-  } else {
-    stats_.decode_threads = plan.decoders;
-    stats_.compute_threads = plan.accumulators;
-  }
 
   scheduler_->reset();
-  scheduler_->seed(reverse ? task_ids_rev_ : task_ids_fwd_, run_->decoders);
+  scheduler_->seed(*run_->order);
   gate_->reset(workers_);
-  if (!plan.fused()) {
-    // Split runs rebuild their queues so a cancelled run leaves no
-    // closed/cancelled queue behind (allocation here is fine — the
-    // zero-steady-state guarantee covers the fused default path).
-    run_->active_decoders.store(run_->decoders, std::memory_order_relaxed);
-    run_->ready = std::make_unique<BoundedQueue<ReadyItem>>(
-        config_.queue_capacity * workers_);
-    run_->free_qs.clear();
-    for (std::size_t d = 0; d < run_->decoders; ++d) {
-      WorkerState& ws = *states_[d];
-      while (ws.slabs.size() < config_.queue_capacity + 1) {
-        auto slab = std::make_unique<TaskSlab>();
-        slab->owner = d;
-        ws.slabs.push_back(std::move(slab));
-      }
-      auto q = std::make_unique<BoundedQueue<TaskSlab*>>(ws.slabs.size());
-      for (auto& slab : ws.slabs) q->push(slab.get());
-      run_->free_qs.push_back(std::move(q));
-    }
-  }
 
   if (!team_) team_ = std::make_unique<WorkerTeam>(workers_);
   team_->run(&StreamingExecutor::worker_trampoline, this);
@@ -1015,9 +637,9 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
 }
 
 // Aggregates the per-worker stats slots and the scheduler counters into
-// last_stats(), publishes telemetry, feeds the decode-fraction EWMA, and
-// bumps the lifetime totals. Runs on the caller thread after every
-// multiply, including failed ones (partial progress still counts).
+// last_stats(), publishes telemetry, and bumps the lifetime totals. Runs
+// on the caller thread after every multiply, including failed ones
+// (partial progress still counts).
 void StreamingExecutor::finish_run(double wall_seconds) {
   // Run boundary for the source: reclaims prefetched-but-unconsumed
   // windows (a cancelled run leaves some behind; a clean run none).
@@ -1028,7 +650,6 @@ void StreamingExecutor::finish_run(double wall_seconds) {
     stats_.decode_busy_seconds += ws->decode_busy;
     stats_.compute_busy_seconds += ws->compute_busy;
     stats_.decode_blocked_seconds += ws->decode_blocked;
-    stats_.compute_blocked_seconds += ws->compute_blocked;
     stats_.blocks_decoded += ws->blocks;
     stats_.compressed_bytes += ws->bytes;
     stats_.udp_cycles += ws->udp_cycles;
@@ -1047,13 +668,7 @@ void StreamingExecutor::finish_run(double wall_seconds) {
   }
 
   telem.runs.add(1);
-  if (stats_.inline_run) {
-    telem.inline_runs.add(1);
-  } else if (stats_.fused) {
-    telem.fused_runs.add(1);
-  } else {
-    telem.split_runs.add(1);
-  }
+  (stats_.inline_run ? telem.inline_runs : telem.fused_runs).add(1);
   telem.tasks_scheduled.add(stats_.bands);
   telem.tasks_split.add(stats_.split_bands);
   telem.blocks.add(stats_.blocks_decoded);
@@ -1062,7 +677,6 @@ void StreamingExecutor::finish_run(double wall_seconds) {
   telem.decode_busy_ns.add(to_ns(stats_.decode_busy_seconds));
   telem.decode_blocked_ns.add(to_ns(stats_.decode_blocked_seconds));
   telem.compute_busy_ns.add(to_ns(stats_.compute_busy_seconds));
-  telem.compute_blocked_ns.add(to_ns(stats_.compute_blocked_seconds));
   telem.cache_hit_bands.add(stats_.cache_hit_bands);
   telem.cache_miss_bands.add(stats_.cache_miss_bands);
   telem.cache_hit_blocks.add(stats_.cache_hit_blocks);
@@ -1074,15 +688,6 @@ void StreamingExecutor::finish_run(double wall_seconds) {
     cache_inserts_seen_ = cs.inserts;
     cache_evictions_seen_ = cs.evictions;
     telem.cache_bytes_pinned.set(static_cast<double>(cs.bytes_pinned));
-  }
-
-  // Feed the measured decode fraction back into the next run's worker
-  // allocation (EWMA so one anomalous run cannot flip the mode).
-  const double busy =
-      stats_.decode_busy_seconds + stats_.compute_busy_seconds;
-  if (busy > 0.0) {
-    decode_fraction_ewma_ = 0.5 * decode_fraction_ewma_ +
-                            0.5 * (stats_.decode_busy_seconds / busy);
   }
 
   total_blocks_decoded_ += stats_.blocks_decoded;

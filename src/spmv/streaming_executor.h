@@ -6,33 +6,27 @@
 // capacity-2 per-band queues which made the PR-2 pipeline lose to serial
 // at every thread count (BENCH_streaming.json, overlap efficiency 0.11).
 //
-// Execution modes, chosen per run from the measured decode fraction
-// (core.overlap.decode_fraction, EWMA across this executor's runs):
+// Two execution paths, one task body:
 //
-//  * fused (decode fraction >= 0.5, the measured regime — software decode
-//    is ~96% of the work): every worker decodes AND accumulates its own
-//    tasks back-to-back. Pipelining decode against a 4% accumulate stage
-//    can win at most 4%; parallelizing whole tasks across workers wins
-//    linearly, so decode-heavy runs get all workers fused.
-//  * split (decode fraction < 0.5, e.g. many-RHS SpMM where the multiply
-//    dominates): round(workers * (1 - decode_fraction)) workers become
-//    dedicated accumulators fed decoded task slabs through a bounded
-//    ready queue; the rest decode. This is the paper's "many decoders
-//    feeding few consumers" shape with the ratio derived from the
-//    measurement instead of fixed in the config.
-//
-// Small matrices (or one worker) skip the scheduler entirely and run the
-// fused loop inline on the calling thread — no thread handoff at all.
+//  * threaded (fused work-stealing): every worker pops a task, decodes
+//    its blocks and accumulates each one immediately, back to back. Host
+//    software decode is most of the work, so parallelizing whole tasks
+//    across workers wins linearly where pipelining decode against the
+//    accumulate stage could win only the accumulate share.
+//  * inline: small matrices (or one worker, or a single task) skip the
+//    scheduler and run the same fused loop on the calling thread, with no
+//    thread handoff at all.
 //
 // Determinism contract: tasks are maximal runs of consecutive blocks cut
 // only where a block boundary coincides with a row boundary, so tasks own
 // disjoint row ranges. Each task's blocks are decoded and accumulated in
 // stream order by exactly one worker, through the same accumulate kernels
 // as the serial engine, into rows no other task touches. Output is
-// therefore bitwise-identical to serial RecodedSpmv::multiply for any
-// worker count, any schedule, any steal order, and either mode — the
-// merge order of partial results is fixed by construction because every
-// row's partial sums live in exactly one task.
+// therefore bitwise-identical to serial RecodedSpmv::multiply (and to
+// spmv_csr) for any worker count, any schedule, any steal order, and
+// either path — the merge order of partial results is fixed by
+// construction because every row's partial sums live in exactly one
+// task.
 //
 // Dynamic band splitting: a band whose block count exceeds
 // split_blocks_threshold is re-cut at interior row-aligned boundaries so
@@ -41,15 +35,15 @@
 // boundary is unsplittable and streams as one task.
 //
 // Error contract: a recode::Error thrown mid-stream (corrupt block, lane
-// fault) cancels the scheduler and every split-mode queue, lets all
-// workers drain their deques, and is rethrown on the calling thread. The
-// executor stays usable afterwards.
+// fault) cancels the scheduler, lets all workers drain their deques, and
+// is rethrown on the calling thread. The executor stays usable
+// afterwards.
 //
-// Steady-state allocation: the scheduler, worker team, gate, arenas and
-// slabs are executor-owned and reused run after run — a fused software
-// multiply on a warmed executor performs zero heap allocations (the PR-4
-// contract extended to the whole parallel path; asserted by the
-// operator-new counting test in tests/spmv/test_streaming_stress.cc).
+// Steady-state allocation: the scheduler, worker team, gate and arenas
+// are executor-owned and reused run after run — a software multiply on a
+// warmed executor performs zero heap allocations, threaded or inline,
+// cold or served from a warm band cache (asserted by the operator-new
+// counting tests in tests/spmv/test_streaming_stress.cc).
 //
 // Decoded-band cache: with cache_budget_bytes > 0, tasks whose decoded
 // CSR streams fit the budget are pinned (exact-sized copies, LRU
@@ -72,18 +66,13 @@
 namespace recode::spmv {
 
 struct StreamingConfig {
-  // Worker threads that decode (every worker in fused mode; the decode
-  // side of the split). 0 = max(1, hardware_concurrency - compute_threads).
+  // The pool runs decode_threads + compute_threads workers, and every
+  // worker both decodes and accumulates: the two knobs no longer set a
+  // role split, they only add up to the pool size (kept as two fields
+  // for existing callers). decode_threads 0 = max(1,
+  // hardware_concurrency - compute_threads); compute_threads 0 = 1.
   std::size_t decode_threads = 0;
-  // Additional worker threads. The executor pools decode_threads +
-  // compute_threads workers and derives the decode/accumulate allocation
-  // at runtime from the measured decode fraction; the two knobs are kept
-  // separate for compatibility and as the pool-size expression.
   std::size_t compute_threads = 1;
-  // Split mode only: decoded task slabs buffered toward the accumulators
-  // per worker (the ready-queue depth is queue_capacity * workers).
-  // Fused mode has no queues and ignores this.
-  std::size_t queue_capacity = 2;
   // Band granularity target: bands are grown to at least this many blocks
   // before cutting at the next row-aligned boundary.
   std::size_t blocks_per_band = 8;
@@ -94,9 +83,6 @@ struct StreamingConfig {
   // Matrices with at most this many blocks (or runs with one worker, or
   // a single task) run the fused loop inline on the calling thread.
   std::size_t fused_inline_blocks = 16;
-  // Overrides the measured decode-fraction EWMA when > 0 (tests pin this
-  // to force the fused [>= 0.5] or split [< 0.5] path deterministically).
-  double decode_fraction_hint = 0.0;
   DecodeEngine engine = DecodeEngine::kSoftware;
   // Decoded-band cache budget in bytes (0 = off). See band_cache.h.
   std::size_t cache_budget_bytes = 0;
@@ -130,36 +116,20 @@ std::vector<RowBand> split_row_bands(const sparse::Blocking& blocking,
                                      std::size_t max_blocks,
                                      std::size_t* splits = nullptr);
 
-// Decode/accumulate worker allocation for a pool of `workers` threads
-// given the measured decode fraction: decode-heavy runs (fraction >=
-// 0.5) fuse both stages on every worker (accumulators == 0); compute-
-// heavy runs dedicate round(workers * (1 - fraction)) accumulators,
-// always leaving at least one decoder. Exposed for the scheduler tests.
-struct WorkerPlan {
-  std::size_t decoders = 0;
-  std::size_t accumulators = 0;  // 0 == fused mode
-  bool fused() const { return accumulators == 0; }
-};
-WorkerPlan plan_worker_split(std::size_t workers, double decode_fraction);
-
 // Measured profile of the last multiply()/multiply_batch() call, the
 // input core::analyze_overlap() consumes.
 struct OverlapStats {
   double wall_seconds = 0.0;
   double decode_busy_seconds = 0.0;   // summed across workers
   double compute_busy_seconds = 0.0;  // summed across workers
-  // Time workers spent waiting: fused mode counts scheduler acquire
-  // spin (decode side); split mode adds ready/free queue waits.
-  // Measured by the telemetry wait probes — 0 when RECODE_TELEMETRY=OFF.
+  // Time workers spent spinning in the scheduler's acquire, measured by
+  // the telemetry wait probes — 0 when RECODE_TELEMETRY=OFF. Nothing
+  // blocks on the accumulate side any more, so compute_blocked_seconds
+  // is always 0 (kept for existing readers).
   double decode_blocked_seconds = 0.0;
   double compute_blocked_seconds = 0.0;
-  // Worker allocation of the run: fused ? (workers, workers) : the
-  // split-mode (decoders, accumulators) — what analyze_overlap divides
-  // the busy sums by.
-  std::size_t decode_threads = 0;
-  std::size_t compute_threads = 0;
   std::size_t workers = 0;    // threads that actually ran
-  bool fused = true;          // mode of this run
+  bool fused = true;          // always true: every path is fused
   bool inline_run = false;    // small-matrix path: no threads at all
   std::size_t bands = 0;      // tasks scheduled (post-split partition)
   std::size_t split_bands = 0;  // extra tasks created by dynamic splitting
@@ -217,11 +187,6 @@ class StreamingExecutor {
   const StreamingConfig& config() const { return config_; }
   const OverlapStats& last_stats() const { return stats_; }
 
-  // Decode fraction the next run's worker allocation will use: the
-  // config hint when set, else the EWMA of measured fractions (prior
-  // 0.95 — the BENCH_streaming measurement — before the first run).
-  double planning_decode_fraction() const;
-
   // Tasks still queued in the scheduler; 0 whenever no multiply is in
   // flight, including after an error (the drained-deques contract).
   std::size_t scheduler_queued() const;
@@ -246,10 +211,8 @@ class StreamingExecutor {
   }
 
  private:
-  struct WorkerState;  // per-worker arenas, UDP engine, slabs, stat slot
-  struct TaskSlab;     // split mode: one decoded task in flight
-  struct ReadyItem;    // split mode: what travels to the accumulators
-  struct Run;          // per-call state (persistent core + split queues)
+  struct WorkerState;  // per-worker arenas, UDP engine, stat slot
+  struct Run;          // per-call state, persistent and reset per multiply
 
   // Inline-path prefetch: advances the run-order cursor one task
   // (skipping cache-served bands) and hints its band to the source.
@@ -260,12 +223,7 @@ class StreamingExecutor {
   void prefetch_band(std::uint32_t task);
 
   void fused_worker(std::size_t worker);
-  void decode_worker(std::size_t worker);
-  bool decode_one_task(std::size_t worker, WorkerState& ws,
-                       std::uint32_t task);
-  void accumulate_worker(std::size_t worker);
-  void run_inline(std::span<const double> x, std::span<double> y, int k,
-                  bool reverse);
+  void run_inline(std::span<const double> x, std::span<double> y, int k);
   void execute_task_fused(WorkerState& ws, std::size_t task,
                           std::span<const double> x, std::span<double> y,
                           int k);
@@ -297,7 +255,6 @@ class StreamingExecutor {
   std::unique_ptr<Run> run_;          // persistent, reset per multiply
   std::unique_ptr<BandCache> cache_;  // null when cache_budget_bytes == 0
   OverlapStats stats_;
-  double decode_fraction_ewma_ = 0.95;  // prior: the measured BENCH gauge
   std::uint64_t total_blocks_decoded_ = 0;
   std::uint64_t total_compressed_bytes_ = 0;
   // Lifetime cache counters already published to telemetry, so each run

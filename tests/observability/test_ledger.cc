@@ -1,5 +1,5 @@
 // Movement-ledger byte-conservation battery (ISSUE 8): every engine
-// (serial RecodedSpmv, StreamingExecutor fused and split) × {cold,
+// (serial RecodedSpmv, threaded StreamingExecutor) × {cold,
 // warm-cached} × {single-codec, adaptive} pipeline must leave a run
 // window whose flow graph passes the conservation check — stage-out ==
 // next-stage-in down the codec chain, and decoded + cache-served ==
@@ -177,26 +177,6 @@ TEST(Ledger, WarmOnlyWindowConserves) {
   if (!kEnabled) return;
   EXPECT_EQ(r.flows.hop(Hop::kKernel).bytes_in, 2 * a.nnz() * 12);
   EXPECT_GT(r.flows.hop(Hop::kCache).bytes_out, 0u);
-}
-
-TEST(Ledger, SplitModeConserves) {
-  // Force the split (dedicated accumulators) path: the decode and
-  // kernel hops are then fed from different worker threads.
-  const sparse::Csr a = test_matrix();
-  const auto cm = codec::compress(a, codec::PipelineConfig::udp_dsh());
-  const auto x = random_vector(static_cast<std::size_t>(a.cols), 11);
-  std::vector<double> y(static_cast<std::size_t>(a.rows));
-  spmv::StreamingConfig cfg;
-  cfg.decode_threads = 2;
-  cfg.compute_threads = 2;
-  cfg.decode_fraction_hint = 0.3;  // < 0.5 pins split mode
-  cfg.fused_inline_blocks = 1;     // don't bypass the scheduler
-  spmv::StreamingExecutor exec(cm, cfg);
-  const RunReport r =
-      window("stream-split", [&] { exec.multiply(x, y); });
-  expect_conserves(r);
-  if (!kEnabled) return;
-  EXPECT_EQ(r.flows.hop(Hop::kKernel).bytes_in, a.nnz() * 12);
 }
 
 TEST(Ledger, BatchMultiplyConserves) {

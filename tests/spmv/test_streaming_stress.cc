@@ -1,13 +1,14 @@
 // Concurrency stress for the streaming executor's error and shutdown
-// paths: randomized band sizes, capacity-1 queues (maximum backpressure),
-// and mid-stream corruption injected with the PR 1 CorruptionEngine. The
-// contract under test: the pipeline always drains — every worker exits,
-// every deque and the injector end empty (scheduler_queued() == 0),
-// nothing deadlocks or leaks — and the first recode::Error is rethrown on
-// the caller's thread. The warmed fused path additionally runs under a
-// global operator-new counting hook asserting the zero-steady-state-
-// allocation guarantee (the PR 4 pattern). Runs under the sanitize preset
-// (and the tsan preset) via the `concurrency` ctest label.
+// paths: randomized worker counts and band sizes, and mid-stream
+// corruption injected with testing::CorruptionEngine. The contract under
+// test: the pipeline always drains — every worker exits, every deque and
+// the injector end empty (scheduler_queued() == 0), nothing deadlocks or
+// leaks — and the first recode::Error is rethrown on the caller's thread.
+// The warmed threaded path, cold and cache-served, additionally runs
+// under a global operator-new counting hook asserting the
+// zero-steady-state-allocation guarantee (the test_fast_decode.cc
+// pattern). Runs under the sanitize preset (and the tsan preset) via the
+// `concurrency` ctest label.
 #include "spmv/streaming_executor.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "codec/pipeline.h"
 #include "common/prng.h"
 #include "sparse/generators.h"
+#include "spmv/kernels.h"
 #include "testing/corrupt.h"
 
 // ---------------------------------------------------------------------------
@@ -63,17 +65,16 @@ Csr stress_matrix(std::uint64_t seed) {
                               seed);
 }
 
-StreamingConfig tiny_queue_config(Prng& prng, DecodeEngine engine) {
+StreamingConfig random_config(Prng& prng, DecodeEngine engine) {
   StreamingConfig cfg;
   cfg.engine = engine;
   cfg.decode_threads = 1 + prng.next_below(7);
   cfg.compute_threads = 1 + prng.next_below(3);
-  cfg.queue_capacity = 1;  // every handoff is a rendezvous
   cfg.blocks_per_band = 1 + prng.next_below(5);
   return cfg;
 }
 
-TEST(StreamingStress, CleanRunsUnderMaxBackpressure) {
+TEST(StreamingStress, CleanRunsAcrossRandomConfigs) {
   const std::uint64_t seed = test_seed(41);
   Prng prng(seed);
   const Csr a = stress_matrix(seed);
@@ -84,8 +85,7 @@ TEST(StreamingStress, CleanRunsUnderMaxBackpressure) {
   serial.multiply(x, y_serial);
 
   for (int iter = 0; iter < 12; ++iter) {
-    StreamingExecutor exec(cm,
-                           tiny_queue_config(prng, DecodeEngine::kSoftware));
+    StreamingExecutor exec(cm, random_config(prng, DecodeEngine::kSoftware));
     std::vector<double> y(y_serial.size());
     exec.multiply(x, y);
     ASSERT_EQ(0, std::memcmp(y.data(), y_serial.data(),
@@ -113,10 +113,10 @@ TEST(StreamingStress, MidStreamErrorRethrowsOnCallerAndDrains) {
     const std::size_t bad =
         1 + prng.next_below(static_cast<std::uint64_t>(cm.blocks.size() - 1));
     cm.blocks[bad].index_data.clear();
-    StreamingExecutor exec(cm, tiny_queue_config(prng, DecodeEngine::kSoftware));
+    StreamingExecutor exec(cm, random_config(prng, DecodeEngine::kSoftware));
     EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter " << iter;
     // The pipeline must have drained: a second call on the same executor
-    // throws again instead of deadlocking on a stuck queue or worker.
+    // throws again instead of deadlocking on a stuck deque or worker.
     EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter " << iter;
   }
 }
@@ -146,7 +146,7 @@ TEST(StreamingStress, CorruptionEngineInjectionNeverHangsOrCrashes) {
             corrupter.apply(kind, block.value_data, block.index_data);
       }
       StreamingExecutor exec(cm,
-                             tiny_queue_config(prng, DecodeEngine::kSoftware));
+                             random_config(prng, DecodeEngine::kSoftware));
       // Any outcome but a hang, crash, or sanitizer report is acceptable:
       // either the corruption is detected (recode::Error on the caller
       // thread) or the stream still decodes to a well-formed block.
@@ -178,17 +178,17 @@ TEST(StreamingStress, UdpEngineMidStreamErrorRethrows) {
   cm.blocks[cm.blocks.size() - 1].value_data.clear();
   const auto x = random_vector(static_cast<std::size_t>(a.cols), seed + 4);
   std::vector<double> y(static_cast<std::size_t>(a.rows));
-  StreamingConfig cfg = tiny_queue_config(prng, DecodeEngine::kUdpSimulated);
+  StreamingConfig cfg = random_config(prng, DecodeEngine::kUdpSimulated);
   StreamingExecutor exec(cm, cfg);
   EXPECT_THROW(exec.multiply(x, y), recode::Error);
 }
 
-// ISSUE 6: mid-stream faults against the work-stealing scheduler in BOTH
-// execution modes. The faulting worker cancels the scheduler and drains
-// its own deque; cancel clears the injector; every other worker drains on
-// its next acquire — so after the rethrow scheduler_queued() must be 0,
-// and the executor must stay usable (throwing again, not deadlocking).
-TEST(StreamingStress, SchedulerDrainsAfterMidStreamFaultBothModes) {
+// Mid-stream faults against the work-stealing scheduler. The faulting
+// worker cancels the scheduler and drains its own deque; cancel clears
+// the injector; every other worker drains on its next acquire — so after
+// the rethrow scheduler_queued() must be 0, and the executor must stay
+// usable (throwing again, not deadlocking).
+TEST(StreamingStress, SchedulerDrainsAfterMidStreamFault) {
   const std::uint64_t seed = test_seed(46);
   Prng prng(seed);
   const Csr a = stress_matrix(seed + 17);
@@ -197,36 +197,28 @@ TEST(StreamingStress, SchedulerDrainsAfterMidStreamFaultBothModes) {
   const auto x = random_vector(static_cast<std::size_t>(a.cols), seed + 5);
   std::vector<double> y(static_cast<std::size_t>(a.rows));
 
-  for (const double hint : {0.96, 0.2}) {  // fused / split
-    for (int iter = 0; iter < 6; ++iter) {
-      auto cm = clean;
-      // One to three faulted blocks scattered mid-stream: whichever
-      // worker hits one first wins the gate's first-error slot; the rest
-      // must not deadlock the drain.
-      const int faults = 1 + static_cast<int>(prng.next_below(3));
-      for (int f = 0; f < faults; ++f) {
-        const std::size_t bad = 1 + prng.next_below(static_cast<std::uint64_t>(
-                                        cm.blocks.size() - 1));
-        cm.blocks[bad].index_data.clear();
-      }
-      StreamingConfig cfg =
-          tiny_queue_config(prng, DecodeEngine::kSoftware);
-      cfg.decode_fraction_hint = hint;
-      cfg.fused_inline_blocks = 0;  // keep the scheduler engaged
-      StreamingExecutor exec(cm, cfg);
-      EXPECT_THROW(exec.multiply(x, y), recode::Error)
-          << "hint=" << hint << " iter=" << iter;
-      EXPECT_EQ(exec.scheduler_queued(), 0u)
-          << "hint=" << hint << " iter=" << iter;
-      EXPECT_THROW(exec.multiply(x, y), recode::Error)
-          << "hint=" << hint << " iter=" << iter;
-      EXPECT_EQ(exec.scheduler_queued(), 0u)
-          << "hint=" << hint << " iter=" << iter;
+  for (int iter = 0; iter < 12; ++iter) {
+    auto cm = clean;
+    // One to three faulted blocks scattered mid-stream: whichever worker
+    // hits one first wins the gate's first-error slot; the rest must not
+    // deadlock the drain.
+    const int faults = 1 + static_cast<int>(prng.next_below(3));
+    for (int f = 0; f < faults; ++f) {
+      const std::size_t bad = 1 + prng.next_below(static_cast<std::uint64_t>(
+                                      cm.blocks.size() - 1));
+      cm.blocks[bad].index_data.clear();
     }
+    StreamingConfig cfg = random_config(prng, DecodeEngine::kSoftware);
+    cfg.fused_inline_blocks = 0;  // keep the scheduler engaged
+    StreamingExecutor exec(cm, cfg);
+    EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter=" << iter;
+    EXPECT_EQ(exec.scheduler_queued(), 0u) << "iter=" << iter;
+    EXPECT_THROW(exec.multiply(x, y), recode::Error) << "iter=" << iter;
+    EXPECT_EQ(exec.scheduler_queued(), 0u) << "iter=" << iter;
   }
 }
 
-// ISSUE 6: the warmed fused/software/no-cache steady state performs ZERO
+// The warmed threaded/software/no-cache steady state performs ZERO
 // heap allocations per multiply. Everything persistent — worker team,
 // scheduler deques, gate, decode arenas, task id vectors, telemetry
 // series — is built during construction or the warm runs; after that the
@@ -250,9 +242,8 @@ TEST(StreamingStress, WarmFusedMultiplyIsAllocationFree) {
   cfg.decode_threads = 3;
   cfg.compute_threads = 1;
   cfg.blocks_per_band = 2;
-  cfg.decode_fraction_hint = 0.96;  // pin fused: the plan never flips
-  cfg.fused_inline_blocks = 0;      // scheduler + team engaged
-  cfg.cache_budget_bytes = 0;       // no cache copies
+  cfg.fused_inline_blocks = 0;  // scheduler + team engaged
+  cfg.cache_budget_bytes = 0;   // no cache copies
   StreamingExecutor exec(cm, cfg);
   std::vector<double> y(y_serial.size());
   // Warm runs: spawn the team, grow every worker's arenas to the largest
@@ -274,6 +265,56 @@ TEST(StreamingStress, WarmFusedMultiplyIsAllocationFree) {
                            y.size() * sizeof(double)));
   EXPECT_TRUE(exec.last_stats().fused);
   EXPECT_FALSE(exec.last_stats().inline_run);
+}
+
+// The warm-cached CG shape: a 4-worker threaded executor whose cache
+// budget covers the whole matrix, with nothing pinned by hand. After two
+// warm-up multiplies (the cold pass that fills the cache, then the first
+// all-hit pass) every run is served from the cache, and it must stay
+// heap-silent run after run — cache lookups hand out the pinned bands by
+// shared_ptr copy, and no per-call structure is rebuilt.
+TEST(StreamingStress, WarmCachedThreadedMultiplyIsAllocationFree) {
+  if (!codec::fast::kEnabled) {
+    GTEST_SKIP() << "reference decoders allocate per block "
+                    "(RECODE_FAST_DECODE=OFF)";
+  }
+  const std::uint64_t seed = test_seed(48);
+  // Fixed structure seed: this matrix's blocking has several row-aligned
+  // cuts, so the run always has more than one task to schedule.
+  const Csr a = stress_matrix(76);
+  const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
+  const auto x = random_vector(static_cast<std::size_t>(a.cols), seed + 7);
+  std::vector<double> y_oracle(static_cast<std::size_t>(a.rows));
+  spmv_csr(a, x, y_oracle);
+
+  StreamingConfig cfg;
+  cfg.decode_threads = 3;
+  cfg.compute_threads = 1;
+  cfg.blocks_per_band = 2;      // several tasks on this small matrix
+  cfg.fused_inline_blocks = 0;  // scheduler + team engaged
+  cfg.cache_budget_bytes = 2 * decoded_band_bytes(a.nnz());
+  StreamingExecutor exec(cm, cfg);
+  ASSERT_GT(exec.bands().size(), 1u);
+  std::vector<double> y(y_oracle.size());
+  exec.multiply(x, y);
+  exec.multiply(x, y);
+
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  for (int rep = 0; rep < 4; ++rep) {
+    exec.multiply(x, y);
+  }
+  const std::uint64_t after =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " heap allocations across 4 warm multiplies";
+  ASSERT_EQ(0, std::memcmp(y.data(), y_oracle.data(),
+                           y.size() * sizeof(double)));
+  const OverlapStats& st = exec.last_stats();
+  EXPECT_EQ(st.workers, 4u);
+  EXPECT_FALSE(st.inline_run);
+  EXPECT_EQ(st.blocks_decoded, 0u);
+  EXPECT_EQ(st.cache_hit_bands, exec.bands().size());
 }
 
 TEST(StreamingStress, ParallelForPropagatesBodyExceptions) {

@@ -163,9 +163,8 @@ TEST(TelemetryPipeline, SnapshotSchemaExportsStealSeriesNotBandQueues) {
   for (const char* name :
        {"spmv.steal.count", "spmv.steal.attempts", "spmv.steal.local_pops",
         "spmv.steal.injector_pops", "spmv.stream.runs",
-        "spmv.exec.fused_runs", "spmv.exec.split_runs",
-        "spmv.exec.inline_runs", "spmv.tasks.scheduled",
-        "spmv.tasks.split_bands"}) {
+        "spmv.exec.fused_runs", "spmv.exec.inline_runs",
+        "spmv.tasks.scheduled", "spmv.tasks.split_bands"}) {
     EXPECT_TRUE(has_counter(name)) << "missing counter " << name;
   }
   for (const char* name :
