@@ -4,7 +4,8 @@
 // compressed streams of any block on demand, from one of three
 // backends:
 //
-//   ResidentSource   the historical fully-in-RAM path (cm.blocks),
+//   ResidentSource   a fully-in-RAM matrix (cm.blocks) — the default
+//                    source of every engine given none,
 //   MmapSource       a read-only mmap of the .rcm file; prefetch is
 //                    madvise(WILLNEED) touch-ahead, acquire touches the
 //                    pages so the fault cost lands on the prefetcher,

@@ -39,11 +39,6 @@ inline void ledger_kernel_block(const sparse::BlockRange& range, int k) {
 // result bits are unaffected, so the parallel ≡ serial guarantee holds.
 constexpr std::size_t kPrefetchDistance = 16;
 
-// Out-of-core lease granularity for the serial engine: enough blocks
-// that the source's prefetch covers real read latency, small enough that
-// at most two chunks of compressed bytes are addressable at once.
-constexpr std::size_t kSourceChunkBlocks = 16;
-
 inline void prefetch_read(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
@@ -53,14 +48,6 @@ inline void prefetch_read(const void* p) {
 }
 
 }  // namespace
-
-const char* decode_engine_name(DecodeEngine engine) {
-  switch (engine) {
-    case DecodeEngine::kSoftware: return "software";
-    case DecodeEngine::kUdpSimulated: return "udp-sim";
-  }
-  return "?";
-}
 
 void accumulate_block(const sparse::BlockRange& range,
                       std::span<const sparse::offset_t> row_ptr,
@@ -82,14 +69,6 @@ void accumulate_block(const sparse::BlockRange& range,
         values[i] * x[static_cast<std::size_t>(indices[i])];
   }
   ledger_kernel_block(range, 1);
-}
-
-void check_block_indices(std::span<const sparse::index_t> indices,
-                         sparse::index_t cols) {
-  for (const sparse::index_t c : indices) {
-    RECODE_PARSE_CHECK(c >= 0 && c < cols,
-                       "decoded column index out of range");
-  }
 }
 
 void accumulate_block_batch(const sparse::BlockRange& range,
@@ -120,27 +99,14 @@ void accumulate_block_batch(const sparse::BlockRange& range,
 
 RecodedSpmv::RecodedSpmv(const codec::CompressedMatrix& cm,
                          DecodeEngine engine)
-    : cm_(&cm), engine_(engine) {
-  if (engine_ == DecodeEngine::kUdpSimulated) {
-    udp_decoder_ = std::make_unique<udpprog::UdpPipelineDecoder>(cm);
-  }
-}
+    : RecodedSpmv(cm, nullptr, engine) {}
 
 RecodedSpmv::RecodedSpmv(const codec::CompressedMatrix& cm,
                          std::shared_ptr<codec::ContainerSource> source,
                          DecodeEngine engine)
-    : cm_(&cm), engine_(engine) {
-  RECODE_CHECK(source != nullptr);
-  if (source->out_of_core()) {
-    if (engine_ == DecodeEngine::kUdpSimulated) {
-      fail("recoded spmv: the UDP simulator needs resident blocks; "
-           "out-of-core sources support the software engine only");
-    }
-    source_ = std::move(source);
-  } else if (engine_ == DecodeEngine::kUdpSimulated) {
-    udp_decoder_ = std::make_unique<udpprog::UdpPipelineDecoder>(cm);
-  }
-}
+    : cm_(&cm),
+      source_(source_or_resident(cm, std::move(source))),
+      reader_(cm, *source_, engine) {}
 
 void RecodedSpmv::multiply(std::span<const double> x, std::span<double> y) {
   multiply_batch(x, y, 1);
@@ -154,91 +120,17 @@ void RecodedSpmv::multiply_batch(std::span<const double> x,
   RECODE_CHECK(y.size() ==
                static_cast<std::size_t>(cm_->rows) * static_cast<std::size_t>(k));
   std::fill(y.begin(), y.end(), 0.0);
-
-  if (source_) {
-    multiply_batch_source(x, y, k);
-    return;
-  }
-
-  for (std::size_t b = 0; b < cm_->blocks.size(); ++b) {
+  reader_.for_each_chunked([&](std::size_t b,
+                               const codec::DecodedBlock& decoded) {
     const auto& range = cm_->blocking.blocks[b];
-    std::span<const sparse::index_t> indices;
-    std::span<const double> values;
-    if (engine_ == DecodeEngine::kSoftware) {
-      const codec::DecodedBlock decoded =
-          codec::decompress_block_fast(*cm_, b, scratch_, out_);
-      indices = decoded.indices;
-      values = decoded.values;
-    } else {
-      udpprog::BlockResult result = udp_decoder_->decode_block(b);
-      indices_ = std::move(result.indices);
-      values_ = std::move(result.values);
-      udp_cycles_ += result.lane_cycles();
-      indices = indices_;
-      values = values_;
-    }
-    check_block_indices(indices, cm_->cols);
-    ++blocks_decoded_;
-    // +1: the block's codec-id dispatch byte travels with its streams
-    // (container v2), matching CompressedMatrix::stream_bytes().
-    compressed_bytes_streamed_ += cm_->blocks[b].bytes() + 1;
-
     if (k == 1) {
-      accumulate_block(range, cm_->row_ptr, indices, values, x, y);
+      accumulate_block(range, cm_->row_ptr, decoded.indices, decoded.values,
+                       x, y);
     } else {
-      accumulate_block_batch(range, cm_->row_ptr, indices, values, x, y, k);
+      accumulate_block_batch(range, cm_->row_ptr, decoded.indices,
+                             decoded.values, x, y, k);
     }
-  }
-}
-
-// Chunked out-of-core loop: lease kSourceChunkBlocks at a time, and hint
-// the *next* chunk before decoding the current one so the source's reads
-// run ahead of decode. Decode goes through the span overload of
-// decompress_block_fast — the same stages and arenas as the resident
-// path, so results are bitwise identical.
-void RecodedSpmv::multiply_batch_source(std::span<const double> x,
-                                        std::span<double> y, int k) {
-  const std::size_t nblocks = cm_->blocking.blocks.size();
-  std::size_t first = 0;
-  std::size_t count = std::min(kSourceChunkBlocks, nblocks);
-  if (count > 0) source_->prefetch(first, count);
-  try {
-    while (first < nblocks) {
-      source_->acquire(first, count);
-      const std::size_t next_first = first + count;
-      const std::size_t next_count =
-          std::min(kSourceChunkBlocks, nblocks - next_first);
-      if (next_count > 0) source_->prefetch(next_first, next_count);
-      for (std::size_t b = first; b < first + count; ++b) {
-        const codec::SourceBlockBytes bytes = source_->block(b);
-        const codec::DecodedBlock decoded = codec::decompress_block_fast(
-            *cm_, b, bytes.index_data, bytes.value_data, scratch_, out_);
-        check_block_indices(decoded.indices, cm_->cols);
-        ++blocks_decoded_;
-        compressed_bytes_streamed_ +=
-            bytes.index_data.size() + bytes.value_data.size() + 1;
-        const auto& range = cm_->blocking.blocks[b];
-        if (k == 1) {
-          accumulate_block(range, cm_->row_ptr, decoded.indices,
-                           decoded.values, x, y);
-        } else {
-          accumulate_block_batch(range, cm_->row_ptr, decoded.indices,
-                                 decoded.values, x, y, k);
-        }
-      }
-      source_->release(first, count);
-      first = next_first;
-      count = next_count;
-    }
-  } catch (...) {
-    // Release the lease the failure interrupted (a no-op when acquire
-    // itself threw), then reclaim any prefetched successor at the run
-    // boundary.
-    source_->release(first, count);
-    source_->end_run();
-    throw;
-  }
-  source_->end_run();
+  });
 }
 
 }  // namespace recode::spmv

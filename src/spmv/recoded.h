@@ -12,19 +12,11 @@
 #include <memory>
 #include <span>
 
-#include "codec/arena.h"
 #include "codec/container_source.h"
 #include "codec/pipeline.h"
-#include "udpprog/block_decoder.h"
+#include "spmv/block_reader.h"
 
 namespace recode::spmv {
-
-enum class DecodeEngine {
-  kSoftware,      // software codecs (the functional reference)
-  kUdpSimulated,  // every block through the UDP lane simulator
-};
-
-const char* decode_engine_name(DecodeEngine engine);
 
 // The Fig 7 inner loop over one decoded block: walks the decoded streams,
 // advancing the row as nnz positions cross row_ptr boundaries, and
@@ -38,13 +30,6 @@ void accumulate_block(const sparse::BlockRange& range,
                       std::span<const sparse::index_t> indices,
                       std::span<const double> values,
                       std::span<const double> x, std::span<double> y);
-
-// Throws recode::Error if any decoded column index falls outside
-// [0, cols). A corrupt-but-well-framed index stream must surface as a
-// recoverable error, never as an out-of-bounds gather in the multiply
-// (the PR 1 hardening contract, extended to the SpMV consumers).
-void check_block_indices(std::span<const sparse::index_t> indices,
-                         sparse::index_t cols);
 
 // Multi-RHS variant: X is cols x k row-major, Y is rows x k row-major
 // (the spmm_csr layout). Callers dispatch k == 1 to accumulate_block.
@@ -60,13 +45,12 @@ class RecodedSpmv {
   explicit RecodedSpmv(const codec::CompressedMatrix& cm,
                        DecodeEngine engine = DecodeEngine::kSoftware);
 
-  // Out-of-core variant: compressed streams come from `source` instead
-  // of cm.blocks (which may be empty — a header-only matrix from
-  // codec::open_container). The serial loop leases a fixed-size chunk of
-  // blocks at a time and prefetches the next chunk before decoding the
-  // current one, so storage reads overlap decode even without threads.
-  // The UDP simulator walks cm.blocks directly, so kUdpSimulated with an
-  // out-of-core source throws recode::Error.
+  // Compressed streams come from `source` (cm may be header-only — a
+  // matrix from codec::open_container); null or resident sources read
+  // cm.blocks. Either way the serial loop is BlockReader::for_each_chunked:
+  // it leases a fixed-size chunk of blocks at a time and prefetches the
+  // next chunk before decoding the current one, so storage reads overlap
+  // decode even without threads. Both decode engines serve every backend.
   RecodedSpmv(const codec::CompressedMatrix& cm,
               std::shared_ptr<codec::ContainerSource> source,
               DecodeEngine engine = DecodeEngine::kSoftware);
@@ -81,37 +65,20 @@ class RecodedSpmv {
   void multiply_batch(std::span<const double> x, std::span<double> y, int k);
 
   // Totals across all multiply() calls.
-  std::uint64_t blocks_decoded() const { return blocks_decoded_; }
+  std::uint64_t blocks_decoded() const { return reader_.counts.blocks; }
   std::uint64_t compressed_bytes_streamed() const {
-    return compressed_bytes_streamed_;
+    return reader_.counts.bytes;
   }
   // UDP lane cycles spent decoding (kUdpSimulated only).
-  std::uint64_t udp_cycles() const { return udp_cycles_; }
+  std::uint64_t udp_cycles() const { return reader_.counts.udp_cycles; }
 
   sparse::index_t rows() const { return cm_->rows; }
   sparse::index_t cols() const { return cm_->cols; }
 
  private:
-  void multiply_batch_source(std::span<const double> x, std::span<double> y,
-                             int k);
-
   const codec::CompressedMatrix* cm_;
-  DecodeEngine engine_;
-  // Non-null only on the out-of-core path (kResident sources decode
-  // through the historical cm_->blocks loop).
-  std::shared_ptr<codec::ContainerSource> source_;
-  std::unique_ptr<udpprog::UdpPipelineDecoder> udp_decoder_;
-  // Software-engine decode arenas: blocks decode straight into out_'s
-  // slabs (codec::decompress_block_fast), so after the first block the
-  // decode loop performs zero heap allocations and no output copy.
-  codec::DecodeArena scratch_;
-  codec::DecodeArena out_;
-  // kUdpSimulated destination (the lane simulator returns vectors).
-  std::vector<sparse::index_t> indices_;
-  std::vector<double> values_;
-  std::uint64_t blocks_decoded_ = 0;
-  std::uint64_t compressed_bytes_streamed_ = 0;
-  std::uint64_t udp_cycles_ = 0;
+  std::shared_ptr<codec::ContainerSource> source_;  // never null
+  BlockReader reader_;
 };
 
 }  // namespace recode::spmv

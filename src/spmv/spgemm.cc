@@ -7,11 +7,10 @@
 #include <utility>
 #include <vector>
 
-#include "codec/arena.h"
 #include "common/error.h"
 #include "sparse/stats.h"
 #include "spmv/band_runner.h"
-#include "spmv/recoded.h"
+#include "spmv/block_reader.h"
 #include "spmv/streaming_executor.h"
 #include "telemetry/telemetry.h"
 
@@ -42,8 +41,11 @@ inline void ledger_kernel_band(std::uint64_t a_nnz, std::uint64_t c_nnz,
 
 // Per-worker scratch reused across every band the worker executes.
 struct WorkerScratch {
-  codec::DecodeArena scratch;
-  codec::DecodeArena out;
+  WorkerScratch(const codec::CompressedMatrix& a,
+                codec::ContainerSource& source)
+      : reader(a, source) {}
+
+  BlockReader reader;
   // Band-local contiguous copies of A's decoded streams (rows span block
   // boundaries, so the Gustavson row loop needs the whole band flat).
   std::vector<sparse::index_t> a_idx;
@@ -73,8 +75,6 @@ struct BandOut {
   std::uint64_t rows_dense = 0;
   std::uint64_t rows_merge = 0;
   std::uint64_t products = 0;
-  std::uint64_t blocks_decoded = 0;
-  std::uint64_t compressed_bytes = 0;
 };
 
 // The per-block merge-vs-dense cut: dense-run blocks expand to heavily
@@ -90,7 +90,6 @@ std::size_t block_merge_threshold(const sparse::BlockStats& bs,
 
 struct SpgemmJob {
   const codec::CompressedMatrix* a = nullptr;
-  codec::ContainerSource* source = nullptr;  // null = resident cm.blocks
   const sparse::Csr* b = nullptr;
   const SpgemmConfig* cfg = nullptr;
   std::vector<RowBand> bands;
@@ -118,41 +117,18 @@ void process_band(SpgemmJob& job, std::size_t band_id, WorkerScratch& ws) {
   // Decode the band's blocks into the flat band-local streams, recording
   // each block's merge threshold for the row strategy choice below.
   std::vector<std::size_t> block_threshold(band.block_count);
-  bool acquired = false;
-  if (job.source) {
-    job.source->acquire(band.first_block, band.block_count);
-    acquired = true;
-  }
-  try {
-    for (std::size_t i = 0; i < band.block_count; ++i) {
-      const std::size_t bi = band.first_block + i;
-      codec::DecodedBlock decoded;
-      if (job.source) {
-        const codec::SourceBlockBytes bytes = job.source->block(bi);
-        decoded = codec::decompress_block_fast(
-            a, bi, bytes.index_data, bytes.value_data, ws.scratch, ws.out);
-        out.compressed_bytes +=
-            bytes.index_data.size() + bytes.value_data.size() + 1;
-      } else {
-        decoded = codec::decompress_block_fast(a, bi, ws.scratch, ws.out);
-        out.compressed_bytes += a.blocks[bi].bytes() + 1;
-      }
-      check_block_indices(decoded.indices, a.cols);
-      ++out.blocks_decoded;
-      const std::size_t off = blocks[bi].first_nnz - band_first_nnz;
-      std::memcpy(ws.a_idx.data() + off, decoded.indices.data(),
-                  decoded.indices.size() * sizeof(sparse::index_t));
-      std::memcpy(ws.a_val.data() + off, decoded.values.data(),
-                  decoded.values.size() * sizeof(double));
-      block_threshold[i] = block_merge_threshold(
-          sparse::compute_block_stats(decoded.indices, decoded.values),
-          job.cfg->merge_max_products);
-    }
-  } catch (...) {
-    if (acquired) job.source->release(band.first_block, band.block_count);
-    throw;
-  }
-  if (acquired) job.source->release(band.first_block, band.block_count);
+  ws.reader.for_each(
+      band.first_block, band.block_count,
+      [&](std::size_t bi, const codec::DecodedBlock& decoded) {
+        const std::size_t off = blocks[bi].first_nnz - band_first_nnz;
+        std::memcpy(ws.a_idx.data() + off, decoded.indices.data(),
+                    decoded.indices.size() * sizeof(sparse::index_t));
+        std::memcpy(ws.a_val.data() + off, decoded.values.data(),
+                    decoded.values.size() * sizeof(double));
+        block_threshold[bi - band.first_block] = block_merge_threshold(
+            sparse::compute_block_stats(decoded.indices, decoded.values),
+            job.cfg->merge_max_products);
+      });
 
   // Gustavson row loop over the band's rows. Timed as the kernel hop.
   telemetry::StageTimer ledger_timer(
@@ -271,10 +247,10 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
   c.row_ptr.assign(static_cast<std::size_t>(a.rows) + 1, 0);
   if (stats) *stats = SpgemmStats{};
 
+  const std::shared_ptr<codec::ContainerSource> source =
+      source_or_resident(a, std::move(a_source));
   SpgemmJob job;
   job.a = &a;
-  job.source =
-      (a_source && a_source->out_of_core()) ? a_source.get() : nullptr;
   job.b = &b;
   job.cfg = &cfg;
   job.bands = make_row_bands(a.blocking, cfg.blocks_per_band);
@@ -282,58 +258,43 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
     if (stats) stats->workers = 1;
     return c;  // nnz == 0: C is all-empty rows
   }
-  std::size_t workers = cfg.threads;
-  if (workers != 1 && job.bands.size() > 1) {
+  // Resolved once: the thread count, the scratch slots, the window
+  // reservation and the fan-out all use the same number.
+  const std::size_t threads =
+      cfg.threads == 0
+          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
+          : cfg.threads;
+  if (cfg.threads != 1 && job.bands.size() > 1) {
     // Spread the matrix over ~4 tasks per worker so stealing has slack.
-    const std::size_t w =
-        workers == 0
-            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-            : workers;
     const std::size_t max_blocks = std::max<std::size_t>(
-        1, a.blocking.block_count() / std::max<std::size_t>(1, 4 * w));
+        1, a.blocking.block_count() / (4 * threads));
     job.bands = split_row_bands(a.blocking, job.bands, max_blocks);
   }
+  const std::size_t workers = std::min(job.bands.size(), threads);
   job.outs.resize(job.bands.size());
   job.c_row_len.assign(static_cast<std::size_t>(a.rows), 0);
-
-  if (job.source) {
-    std::size_t max_extent = 0;
-    for (const RowBand& band : job.bands) {
-      max_extent = std::max(
-          max_extent,
-          job.source->range_extent_bytes(band.first_block, band.block_count));
-    }
-    const std::size_t w = workers == 0 ? 8 : workers;
-    job.source->reserve(2 * w, max_extent);
-  }
+  reserve_for_bands(*source, job.bands, 2 * workers);
 
   std::vector<std::unique_ptr<WorkerScratch>> scratch;
-  const std::size_t max_workers = std::min(
-      job.bands.size(),
-      workers == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : workers);
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, max_workers); ++i) {
-    scratch.push_back(std::make_unique<WorkerScratch>());
+  for (std::size_t i = 0; i < workers; ++i) {
+    scratch.push_back(std::make_unique<WorkerScratch>(a, *source));
   }
 
   BandRunStats run_stats;
-  try {
+  {
+    SourceRun run(*source);
     run_stats = run_band_tasks(
         workers, job.bands.size(),
         [&](std::size_t band_id, std::size_t worker) {
           process_band(job, band_id, *scratch[worker]);
         },
-        job.source ? std::function<void(std::size_t)>([&](std::size_t t) {
-          job.source->prefetch(job.bands[t].first_block,
-                               job.bands[t].block_count);
-        })
-                   : std::function<void(std::size_t)>());
-  } catch (...) {
-    if (job.source) job.source->end_run();
-    throw;
+        source->out_of_core()
+            ? std::function<void(std::size_t)>([&](std::size_t t) {
+                source->prefetch(job.bands[t].first_block,
+                                 job.bands[t].block_count);
+              })
+            : std::function<void(std::size_t)>());
   }
-  if (job.source) job.source->end_run();
 
   // Stitch: bands are row-ordered and own disjoint row ranges, so C is
   // the in-order concatenation of the band outputs.
@@ -361,8 +322,10 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
       stats->rows_dense += out.rows_dense;
       stats->rows_merge += out.rows_merge;
       stats->products += out.products;
-      stats->a_blocks_decoded += out.blocks_decoded;
-      stats->a_compressed_bytes += out.compressed_bytes;
+    }
+    for (const auto& ws : scratch) {
+      stats->a_blocks_decoded += ws->reader.counts.blocks;
+      stats->a_compressed_bytes += ws->reader.counts.bytes;
     }
     stats->tasks = job.bands.size();
     stats->workers = run_stats.workers;

@@ -70,9 +70,13 @@ struct SpgemmStats {
 };
 
 // C = A * B over A's decoded-block stream. `a_source` serves A's
-// compressed bytes (lease protocol per band); pass nullptr to read the
-// resident cm.blocks. Requires b.rows == a.cols. Throws recode::Error on
-// corrupt streams (decode faults, out-of-range indices).
+// compressed bytes (one lease per band, decoded through a BlockReader);
+// nullptr or a resident source reads cm.blocks through the same path.
+// The worker count is resolved once (threads, or hardware_concurrency,
+// capped at the task count) and sizes the scratch, the source's window
+// reservation (two leases per worker) and the fan-out alike. Requires
+// b.rows == a.cols. Throws recode::Error on corrupt streams (decode
+// faults, out-of-range indices).
 sparse::Csr spgemm(const codec::CompressedMatrix& a,
                    std::shared_ptr<codec::ContainerSource> a_source,
                    const sparse::Csr& b, const SpgemmConfig& cfg = {},

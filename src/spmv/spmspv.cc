@@ -6,7 +6,7 @@
 
 #include "common/error.h"
 #include "spmv/band_runner.h"
-#include "spmv/recoded.h"
+#include "spmv/block_reader.h"
 #include "telemetry/telemetry.h"
 
 namespace recode::spmv {
@@ -38,8 +38,11 @@ inline void ledger_kernel_block(const sparse::BlockRange& range) {
 }  // namespace
 
 struct SpmspvEngine::WorkerScratch {
-  codec::DecodeArena scratch;
-  codec::DecodeArena out;
+  WorkerScratch(const codec::CompressedMatrix& cm,
+                codec::ContainerSource& source)
+      : reader(cm, source) {}
+
+  BlockReader reader;
   std::vector<double> products;  // phase-1 output, one slot per block nnz
 };
 
@@ -51,8 +54,9 @@ SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm, SpmspvConfig cfg)
 SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm,
                            std::shared_ptr<codec::ContainerSource> source,
                            SpmspvConfig cfg)
-    : cm_(&cm), cfg_(cfg) {
-  if (source && source->out_of_core()) source_ = std::move(source);
+    : cm_(&cm),
+      source_(source_or_resident(cm, std::move(source))),
+      cfg_(cfg) {
   bands_ = make_row_bands(cm_->blocking, cfg_.blocks_per_band);
   in_frontier_.assign(static_cast<std::size_t>(cm_->cols), 0);
   x_dense_.assign(static_cast<std::size_t>(cm_->cols), 0.0);
@@ -63,40 +67,19 @@ SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm,
   }
   workers = std::min(workers, std::max<std::size_t>(1, bands_.size()));
   for (std::size_t i = 0; i < workers; ++i) {
-    scratch_.push_back(std::make_unique<WorkerScratch>());
+    scratch_.push_back(std::make_unique<WorkerScratch>(cm, *source_));
   }
   survey_blocks();
+  reserve_for_bands(*source_, bands_, 2 * workers);
 }
 
 // One streaming pass over every block to record column spans and
 // signatures — the metadata multiply() skips against. Runs at
 // construction, outside any ledger run window (see spmspv.h).
 void SpmspvEngine::survey_blocks() {
-  const auto& blocks = cm_->blocking.blocks;
-  summaries_.resize(blocks.size());
-  if (blocks.empty()) return;
-  WorkerScratch& ws = *scratch_[0];
-  constexpr std::size_t kChunk = 16;
-  std::size_t first = 0;
-  std::size_t count = std::min(kChunk, blocks.size());
-  if (source_) source_->prefetch(first, count);
-  try {
-    while (first < blocks.size()) {
-      if (source_) source_->acquire(first, count);
-      const std::size_t next_first = first + count;
-      const std::size_t next_count =
-          std::min(kChunk, blocks.size() - next_first);
-      if (source_ && next_count > 0) source_->prefetch(next_first, next_count);
-      for (std::size_t b = first; b < first + count; ++b) {
-        codec::DecodedBlock decoded;
-        if (source_) {
-          const codec::SourceBlockBytes bytes = source_->block(b);
-          decoded = codec::decompress_block_fast(
-              *cm_, b, bytes.index_data, bytes.value_data, ws.scratch, ws.out);
-        } else {
-          decoded = codec::decompress_block_fast(*cm_, b, ws.scratch, ws.out);
-        }
-        check_block_indices(decoded.indices, cm_->cols);
+  summaries_.resize(cm_->blocking.blocks.size());
+  scratch_[0]->reader.for_each_chunked(
+      [&](std::size_t b, const codec::DecodedBlock& decoded) {
         BlockSummary& s = summaries_[b];
         s.col_min = cm_->cols;
         s.col_max = -1;
@@ -106,19 +89,16 @@ void SpmspvEngine::survey_blocks() {
           s.col_max = std::max(s.col_max, c);
           s.signature |= column_bit(c);
         }
-      }
-      if (source_) source_->release(first, count);
-      first = next_first;
-      count = next_count;
-    }
-  } catch (...) {
-    if (source_) {
-      source_->release(first, count);
-      source_->end_run();
-    }
-    throw;
-  }
-  if (source_) source_->end_run();
+      });
+}
+
+SpmspvEngine::BlockRun SpmspvEngine::needed_run(const RowBand& band,
+                                                std::size_t from) const {
+  const std::size_t end = band.first_block + band.block_count;
+  while (from < end && !block_needed(summaries_[from])) ++from;
+  std::size_t last = from;
+  while (last < end && block_needed(summaries_[last])) ++last;
+  return {from, last - from};
 }
 
 bool SpmspvEngine::block_needed(const BlockSummary& s) const {
@@ -141,78 +121,49 @@ void SpmspvEngine::process_band(std::size_t band_id, WorkerScratch& ws,
   bs = SpmspvStats{};
   bs.blocks_total = band.block_count;
   const auto& blocks = cm_->blocking.blocks;
+  const DecodeCounts before = ws.reader.counts;
 
   // Walk the band as maximal contiguous runs of non-skippable blocks so
-  // out-of-core leases cover only the bytes that will be decoded.
-  std::size_t i = 0;
-  while (i < band.block_count) {
-    const std::size_t bi = band.first_block + i;
-    if (!block_needed(summaries_[bi])) {
-      ++bs.blocks_skipped;
-      ++i;
-      continue;
-    }
-    std::size_t run = 1;
-    while (i + run < band.block_count &&
-           block_needed(summaries_[band.first_block + i + run])) {
-      ++run;
-    }
-    if (source_) source_->acquire(bi, run);
-    try {
-      for (std::size_t k = 0; k < run; ++k) {
-        const std::size_t b = bi + k;
-        codec::DecodedBlock decoded;
-        if (source_) {
-          const codec::SourceBlockBytes bytes = source_->block(b);
-          decoded = codec::decompress_block_fast(
-              *cm_, b, bytes.index_data, bytes.value_data, ws.scratch, ws.out);
-          bs.compressed_bytes +=
-              bytes.index_data.size() + bytes.value_data.size() + 1;
-        } else {
-          decoded = codec::decompress_block_fast(*cm_, b, ws.scratch, ws.out);
-          bs.compressed_bytes += cm_->blocks[b].bytes() + 1;
-        }
-        check_block_indices(decoded.indices, cm_->cols);
-        ++bs.blocks_decoded;
-
-        const sparse::BlockRange& range = blocks[b];
-        telemetry::StageTimer ledger_timer(
-            telemetry::MovementLedger::global()
-                .hop(telemetry::Hop::kKernel)
-                .ns);
-        // Phase 1 — row-boundary-free: products against the dense
-        // frontier scatter, no row logic (Liu & Vinter's load-balanced
-        // phase; x_dense_ is 0.0 outside the frontier, so this is the
-        // same multiply sequence as the dense kernel).
-        ws.products.resize(range.count);
-        for (std::size_t n = 0; n < range.count; ++n) {
-          const auto col = static_cast<std::size_t>(decoded.indices[n]);
-          ws.products[n] = decoded.values[n] * x_dense_[col];
-          bs.products += in_frontier_[col];
-        }
-        // Phase 2 — segmented fold: walk the covered rows once, seed each
-        // partial from y so rows spanning blocks accumulate exactly like
-        // the serial row-walk kernel, and add products in stream order.
-        const auto row_ptr = std::span<const sparse::offset_t>(cm_->row_ptr);
-        std::size_t n = 0;
-        for (sparse::index_t r = range.first_row; r <= range.last_row; ++r) {
-          const auto row_end = static_cast<std::size_t>(
-              row_ptr[static_cast<std::size_t>(r) + 1]);
-          const std::size_t seg_end =
-              std::min(row_end - range.first_nnz, range.count);
-          double partial = y[static_cast<std::size_t>(r)];
-          for (; n < seg_end; ++n) partial += ws.products[n];
-          y[static_cast<std::size_t>(r)] = partial;
-        }
-        ledger_kernel_block(range);
+  // out-of-core leases cover only the bytes that will be decoded; each
+  // run's lease hints the next run to the source.
+  for (BlockRun run = needed_run(band, band.first_block); run.count > 0;) {
+    const BlockRun next = needed_run(band, run.first + run.count);
+    const auto body = [&](std::size_t b, const codec::DecodedBlock& decoded) {
+      const sparse::BlockRange& range = blocks[b];
+      telemetry::StageTimer ledger_timer(
+          telemetry::MovementLedger::global().hop(telemetry::Hop::kKernel).ns);
+      // Phase 1 — row-boundary-free: products against the dense
+      // frontier scatter, no row logic (Liu & Vinter's load-balanced
+      // phase; x_dense_ is 0.0 outside the frontier, so this is the
+      // same multiply sequence as the dense kernel).
+      ws.products.resize(range.count);
+      for (std::size_t n = 0; n < range.count; ++n) {
+        const auto col = static_cast<std::size_t>(decoded.indices[n]);
+        ws.products[n] = decoded.values[n] * x_dense_[col];
+        bs.products += in_frontier_[col];
       }
-    } catch (...) {
-      if (source_) source_->release(bi, run);
-      throw;
-    }
-    if (source_) source_->release(bi, run);
-    i += run;
+      // Phase 2 — segmented fold: walk the covered rows once, seed each
+      // partial from y so rows spanning blocks accumulate exactly like
+      // the serial row-walk kernel, and add products in stream order.
+      const auto row_ptr = std::span<const sparse::offset_t>(cm_->row_ptr);
+      std::size_t n = 0;
+      for (sparse::index_t r = range.first_row; r <= range.last_row; ++r) {
+        const auto row_end = static_cast<std::size_t>(
+            row_ptr[static_cast<std::size_t>(r) + 1]);
+        const std::size_t seg_end =
+            std::min(row_end - range.first_nnz, range.count);
+        double partial = y[static_cast<std::size_t>(r)];
+        for (; n < seg_end; ++n) partial += ws.products[n];
+        y[static_cast<std::size_t>(r)] = partial;
+      }
+      ledger_kernel_block(range);
+    };
+    ws.reader.for_each(run.first, run.count, body, next.first, next.count);
+    run = next;
   }
+  bs.blocks_decoded = ws.reader.counts.blocks - before.blocks;
+  bs.compressed_bytes = ws.reader.counts.bytes - before.bytes;
+  bs.blocks_skipped = band.block_count - bs.blocks_decoded;
   if (bs.blocks_skipped == band.block_count) bs.bands_skipped = 1;
 }
 
@@ -246,41 +197,39 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
     frontier_max_ = std::max(frontier_max_, c);
   }
 
+  // Un-scatter the frontier (O(|x|), keeps the dense buffers warm) —
+  // also before an error propagates, so the engine stays usable.
+  const auto unscatter = [&] {
+    for (const sparse::index_t c : x.indices) {
+      in_frontier_[static_cast<std::size_t>(c)] = 0;
+      x_dense_[static_cast<std::size_t>(c)] = 0.0;
+    }
+  };
+
   SpmspvStats totals;
   totals.frontier_nnz = x.indices.size();
   if (!bands_.empty() && !x.indices.empty()) {
-    if (source_) {
-      std::size_t max_extent = 0;
-      for (const RowBand& band : bands_) {
-        max_extent = std::max(max_extent,
-                              source_->range_extent_bytes(band.first_block,
-                                                          band.block_count));
-      }
-      source_->reserve(2 * scratch_.size(), max_extent);
-    }
     try {
+      SourceRun run(*source_);
       run_band_tasks(
-          std::min(cfg_.threads == 0 ? scratch_.size() : cfg_.threads,
-                   scratch_.size()),
-          bands_.size(),
+          scratch_.size(), bands_.size(),
           [&](std::size_t band_id, std::size_t worker) {
             process_band(band_id, *scratch_[worker], y);
           },
-          source_ ? std::function<void(std::size_t)>([&](std::size_t t) {
-            // Hint the whole band; acquire later narrows to needed runs.
-            source_->prefetch(bands_[t].first_block, bands_[t].block_count);
-          })
-                  : std::function<void(std::size_t)>());
+          source_->out_of_core()
+              ? std::function<void(std::size_t)>([&](std::size_t t) {
+                  // Hint exactly the band's first lease.
+                  const BlockRun lease =
+                      needed_run(bands_[t], bands_[t].first_block);
+                  if (lease.count > 0) {
+                    source_->prefetch(lease.first, lease.count);
+                  }
+                })
+              : std::function<void(std::size_t)>());
     } catch (...) {
-      if (source_) source_->end_run();
-      // Un-scatter before propagating so the engine stays usable.
-      for (const sparse::index_t c : x.indices) {
-        in_frontier_[static_cast<std::size_t>(c)] = 0;
-        x_dense_[static_cast<std::size_t>(c)] = 0.0;
-      }
+      unscatter();
       throw;
     }
-    if (source_) source_->end_run();
     for (const SpmspvStats& bs : band_stats_) {
       totals.blocks_total += bs.blocks_total;
       totals.blocks_skipped += bs.blocks_skipped;
@@ -295,12 +244,7 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
     totals.blocks_skipped = totals.blocks_total;
     totals.bands_skipped = bands_.size();
   }
-
-  // Un-scatter the frontier (O(|x|), keeps the dense buffers warm).
-  for (const sparse::index_t c : x.indices) {
-    in_frontier_[static_cast<std::size_t>(c)] = 0;
-    x_dense_[static_cast<std::size_t>(c)] = 0.0;
-  }
+  unscatter();
 
   total_blocks_decoded_ += totals.blocks_decoded;
   total_blocks_skipped_ += totals.blocks_skipped;

@@ -43,7 +43,6 @@
 #include <span>
 #include <vector>
 
-#include "codec/arena.h"
 #include "codec/container_source.h"
 #include "codec/pipeline.h"
 #include "sparse/formats.h"
@@ -91,8 +90,10 @@ class SpmspvEngine {
   explicit SpmspvEngine(const codec::CompressedMatrix& cm,
                         SpmspvConfig cfg = {});
 
-  // Out-of-core: compressed streams come from `source` (cm may be
-  // header-only). The construction survey streams every block once.
+  // Compressed streams come from `source` (cm may be header-only); null
+  // or resident sources read cm.blocks. Every block read, survey and
+  // multiply alike, leases from the source and decodes through a
+  // BlockReader. The construction survey streams every block once.
   SpmspvEngine(const codec::CompressedMatrix& cm,
                std::shared_ptr<codec::ContainerSource> source,
                SpmspvConfig cfg = {});
@@ -120,6 +121,10 @@ class SpmspvEngine {
     std::uint64_t signature = 0;
   };
   struct WorkerScratch;
+  struct BlockRun {
+    std::size_t first = 0;
+    std::size_t count = 0;  // 0: no needed block left
+  };
 
   void survey_blocks();
   void process_band(std::size_t band_id, WorkerScratch& ws,
@@ -129,6 +134,9 @@ class SpmspvEngine {
   // block's exact column span (binary search over the sorted frontier —
   // the frontier's global min/max is useless for scattered frontiers).
   bool block_needed(const BlockSummary& s) const;
+  // The first maximal run of needed blocks at or after block `from` in
+  // the band — the unit of a source lease (and of its prefetch hint).
+  BlockRun needed_run(const RowBand& band, std::size_t from) const;
 
   static std::uint64_t column_bit(sparse::index_t col) {
     // Multiplicative hash onto 64 signature bits (Knuth's 2^64/phi).
@@ -138,7 +146,7 @@ class SpmspvEngine {
   }
 
   const codec::CompressedMatrix* cm_;
-  std::shared_ptr<codec::ContainerSource> source_;  // null = resident
+  std::shared_ptr<codec::ContainerSource> source_;  // never null
   SpmspvConfig cfg_;
   std::vector<BlockSummary> summaries_;
   std::vector<RowBand> bands_;

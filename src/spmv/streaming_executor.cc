@@ -5,11 +5,10 @@
 #include <string>
 #include <thread>
 
-#include "codec/arena.h"
 #include "common/error.h"
 #include "common/timer.h"
+#include "spmv/block_reader.h"
 #include "telemetry/telemetry.h"
-#include "udpprog/block_decoder.h"
 
 namespace recode::spmv {
 
@@ -180,25 +179,24 @@ std::vector<RowBand> split_row_bands(const sparse::Blocking& blocking,
   return out;
 }
 
-// Per-worker persistent state: the decode arenas (monotonic capacity —
-// the zero-steady-state-allocation reservoir), the lazily built UDP lane
-// simulator, and this worker's stats slot (written only by the owning
-// worker during a run, read by the caller after the gate).
+// Per-worker persistent state: the decode context (arenas of monotonic
+// capacity — the zero-steady-state-allocation reservoir — and the lazily
+// built UDP lane simulator) and this worker's stats slot (written only by
+// the owning worker during a run, read by the caller after the gate).
 struct StreamingExecutor::WorkerState {
-  // Stage-intermediate and output arenas. Each block is decoded into
-  // `out` and accumulated immediately, so the spans never outlive the
-  // arena contents.
-  codec::DecodeArena scratch;
-  codec::DecodeArena out;
-  std::unique_ptr<udpprog::UdpPipelineDecoder> udp;
+  WorkerState(const codec::CompressedMatrix& cm,
+              codec::ContainerSource& source, DecodeEngine engine)
+      : reader(cm, source, engine) {}
+
+  // Each block is decoded and accumulated immediately, so the decoded
+  // spans never outlive the reader's arena contents. reader.counts is
+  // part of the per-run slot.
+  BlockReader reader;
 
   // Per-run stats slot, reset by the caller before each run.
   double decode_busy = 0.0;
   double compute_busy = 0.0;
   double decode_blocked = 0.0;
-  std::uint64_t blocks = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t udp_cycles = 0;
   std::uint64_t hit_blocks = 0;
   std::size_t hit_bands = 0;
   std::size_t miss_bands = 0;
@@ -206,7 +204,8 @@ struct StreamingExecutor::WorkerState {
 
   void reset_slot() {
     decode_busy = compute_busy = decode_blocked = 0.0;
-    blocks = bytes = udp_cycles = hit_blocks = 0;
+    reader.counts = {};
+    hit_blocks = 0;
     hit_bands = miss_bands = 0;
     error = nullptr;
   }
@@ -227,7 +226,15 @@ struct StreamingExecutor::Run {
 
 StreamingExecutor::StreamingExecutor(const codec::CompressedMatrix& cm,
                                      StreamingConfig config)
-    : cm_(&cm), config_(config) {
+    : StreamingExecutor(cm, nullptr, config) {}
+
+StreamingExecutor::StreamingExecutor(
+    const codec::CompressedMatrix& cm,
+    std::shared_ptr<codec::ContainerSource> source, StreamingConfig config)
+    : cm_(&cm),
+      source_(source_or_resident(cm, std::move(source))),
+      out_of_core_(source_->out_of_core()),
+      config_(config) {
   if (config_.compute_threads == 0) config_.compute_threads = 1;
   if (config_.decode_threads == 0) {
     const std::size_t hw =
@@ -260,7 +267,8 @@ StreamingExecutor::StreamingExecutor(const codec::CompressedMatrix& cm,
 
   states_.reserve(workers_);
   for (std::size_t w = 0; w < workers_; ++w) {
-    states_.push_back(std::make_unique<WorkerState>());
+    states_.push_back(
+        std::make_unique<WorkerState>(cm, *source_, config_.engine));
   }
   scheduler_ = std::make_unique<WorkStealingScheduler<std::uint32_t>>(
       workers_, bands_.size() + 1);
@@ -271,32 +279,13 @@ StreamingExecutor::StreamingExecutor(const codec::CompressedMatrix& cm,
   }
   // team_ is built lazily on the first non-inline run so executors that
   // only ever take the inline path never spawn a thread.
-}
 
-StreamingExecutor::StreamingExecutor(
-    const codec::CompressedMatrix& cm,
-    std::shared_ptr<codec::ContainerSource> source, StreamingConfig config)
-    : StreamingExecutor(cm, config) {
-  RECODE_CHECK(source != nullptr);
-  if (source->out_of_core()) {
-    if (config_.engine == DecodeEngine::kUdpSimulated) {
-      fail("streaming executor: the UDP simulator needs resident blocks; "
-           "out-of-core sources support the software engine only");
-    }
-    source_ = std::move(source);
-    // Pre-provision the source's window pool for this executor's lease
-    // discipline — each worker holds at most two staged ranges (the
-    // band in hand plus its lookahead prefetch) — so the warmed steady
-    // state stays allocation-free even when a concurrency spike touches
-    // a window that demand-driven growth never warmed.
-    std::size_t max_extent = 0;
-    for (const RowBand& band : bands_) {
-      max_extent = std::max(max_extent, source_->range_extent_bytes(
-                                            band.first_block,
-                                            band.block_count));
-    }
-    if (max_extent > 0) source_->reserve(2 * workers_, max_extent);
-  }
+  // Pre-provision the source's window pool for this executor's lease
+  // discipline — each worker holds at most two staged ranges (the band
+  // in hand plus its lookahead prefetch) — so the warmed steady state
+  // stays allocation-free even when a concurrency spike touches a window
+  // that demand-driven growth never warmed.
+  reserve_for_bands(*source_, bands_, 2 * workers_);
 }
 
 StreamingExecutor::~StreamingExecutor() = default;
@@ -311,7 +300,6 @@ StreamingExecutor::~StreamingExecutor() = default;
 // consume, every acquire() deadlocks. They use prefetch_band() on the
 // task they just popped instead (see fused_worker).
 void StreamingExecutor::prefetch_next_band() {
-  if (!source_) return;
   const auto& order = *run_->order;
   for (;;) {
     const std::size_t i =
@@ -336,7 +324,6 @@ void StreamingExecutor::prefetch_next_band() {
 // doesn't spend scan protection; a band evicted between this probe and
 // its lookup just reads synchronously).
 void StreamingExecutor::prefetch_band(std::uint32_t task) {
-  if (!source_) return;
   if (cache_ && cache_->contains(task)) return;
   const RowBand& band = bands_[task];
   source_->prefetch(band.first_block, band.block_count);
@@ -360,7 +347,7 @@ void StreamingExecutor::execute_task_fused(WorkerState& ws, std::size_t task,
       // Warm task: accumulate straight from the pinned decoded copy; the
       // local shared_ptr keeps it alive past any concurrent eviction.
       // A prefetch that raced the band into the cache is discarded.
-      if (source_) source_->release(band.first_block, band.block_count);
+      source_->release(band.first_block, band.block_count);
       ++ws.hit_bands;
       for (const CachedBlock& cb : cached->blocks) {
         const auto& range = cm_->blocking.blocks[cb.block];
@@ -396,72 +383,39 @@ void StreamingExecutor::execute_task_fused(WorkerState& ws, std::size_t task,
     }
   }
 
-  // Out-of-core: lease the band's compressed extent for the duration of
-  // the decode loop (the spans block() returns alias the lease).
-  if (source_) source_->acquire(band.first_block, band.block_count);
-  try {
+  {
+    // Lease the band's compressed extent for the duration of the decode
+    // loop (the spans block() returns alias the lease).
+    BlockLease lease(*source_, band.first_block, band.block_count);
     for (std::size_t i = 0; i < band.block_count; ++i) {
       const std::size_t b = band.first_block + i;
-      std::span<const sparse::index_t> indices;
-      std::span<const double> values;
-      udpprog::BlockResult udp_result;
-      std::size_t stream_bytes = 0;
+      codec::DecodedBlock decoded;
       {
         RECODE_TRACE_SPAN_ARG("spmv", "decode_block", "block", b);
         timer.reset();
-        if (source_) {
-          const codec::SourceBlockBytes sb = source_->block(b);
-          const codec::DecodedBlock decoded = codec::decompress_block_fast(
-              *cm_, b, sb.index_data, sb.value_data, ws.scratch, ws.out);
-          indices = decoded.indices;
-          values = decoded.values;
-          stream_bytes = sb.index_data.size() + sb.value_data.size() + 1;
-        } else if (config_.engine == DecodeEngine::kSoftware) {
-          const codec::DecodedBlock decoded =
-              codec::decompress_block_fast(*cm_, b, ws.scratch, ws.out);
-          indices = decoded.indices;
-          values = decoded.values;
-          stream_bytes = cm_->blocks[b].bytes() + 1;  // +1: codec-id byte
-        } else {
-          if (!ws.udp) {
-            ws.udp = std::make_unique<udpprog::UdpPipelineDecoder>(*cm_);
-          }
-          udp_result = ws.udp->decode_block(b);
-          indices = udp_result.indices;
-          values = udp_result.values;
-          ws.udp_cycles += udp_result.lane_cycles();
-          stream_bytes = cm_->blocks[b].bytes() + 1;
-        }
-        check_block_indices(indices, cm_->cols);
+        decoded = ws.reader.decode(b);
         ws.decode_busy += timer.seconds();
       }
-      ++ws.blocks;
-      ws.bytes += stream_bytes;
       if (pending) {
         CachedBlock cb;
         cb.block = b;
-        cb.indices.assign(indices.begin(), indices.end());
-        cb.values.assign(values.begin(), values.end());
+        cb.indices.assign(decoded.indices.begin(), decoded.indices.end());
+        cb.values.assign(decoded.values.begin(), decoded.values.end());
         pending->blocks.push_back(std::move(cb));
       }
       const auto& range = cm_->blocking.blocks[b];
-      {
-        RECODE_TRACE_SPAN_ARG("spmv", "accumulate_block", "block", b);
-        timer.reset();
-        if (k == 1) {
-          accumulate_block(range, cm_->row_ptr, indices, values, x, y);
-        } else {
-          accumulate_block_batch(range, cm_->row_ptr, indices, values, x, y,
-                                 k);
-        }
-        ws.compute_busy += timer.seconds();
+      RECODE_TRACE_SPAN_ARG("spmv", "accumulate_block", "block", b);
+      timer.reset();
+      if (k == 1) {
+        accumulate_block(range, cm_->row_ptr, decoded.indices, decoded.values,
+                         x, y);
+      } else {
+        accumulate_block_batch(range, cm_->row_ptr, decoded.indices,
+                               decoded.values, x, y, k);
       }
+      ws.compute_busy += timer.seconds();
     }
-  } catch (...) {
-    if (source_) source_->release(band.first_block, band.block_count);
-    throw;
   }
-  if (source_) source_->release(band.first_block, band.block_count);
   if (pending) cache_->insert(task, std::move(pending));
 }
 
@@ -509,7 +463,7 @@ void StreamingExecutor::fused_worker(std::size_t worker) {
       if (!got) break;
       telem.deque_occupancy.observe(
           static_cast<double>(scheduler_->deque_size(worker)));
-      if (source_) {
+      if (out_of_core_) {
         prefetch_band(next);
         task = next;
         have_task = true;
@@ -545,8 +499,8 @@ void StreamingExecutor::run_inline(std::span<const double> x,
   WorkerState& ws = *states_[0];
   for (const std::uint32_t task : *run_->order) {
     // Keep the out-of-core pipeline one band ahead of the decode (the
-    // cursor was primed two deep by multiply_batch); a no-op in-core.
-    prefetch_next_band();
+    // cursor was primed two deep by multiply_batch).
+    if (out_of_core_) prefetch_next_band();
     execute_task_fused(ws, task, x, y, k);
   }
 }
@@ -590,7 +544,7 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   // in-flight compressed bytes bounded by ~one window per worker.
   run_->order = reverse ? &task_ids_rev_ : &task_ids_fwd_;
   run_->prefetch_cursor.store(0, std::memory_order_relaxed);
-  if (source_ && inline_run) {
+  if (out_of_core_ && inline_run) {
     for (std::size_t i = 0; i < 2; ++i) prefetch_next_band();
   }
 
@@ -643,16 +597,16 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
 void StreamingExecutor::finish_run(double wall_seconds) {
   // Run boundary for the source: reclaims prefetched-but-unconsumed
   // windows (a cancelled run leaves some behind; a clean run none).
-  if (source_) source_->end_run();
+  source_->end_run();
   StreamTelemetry& telem = StreamTelemetry::get();
   stats_.wall_seconds = wall_seconds;
   for (const auto& ws : states_) {
     stats_.decode_busy_seconds += ws->decode_busy;
     stats_.compute_busy_seconds += ws->compute_busy;
     stats_.decode_blocked_seconds += ws->decode_blocked;
-    stats_.blocks_decoded += ws->blocks;
-    stats_.compressed_bytes += ws->bytes;
-    stats_.udp_cycles += ws->udp_cycles;
+    stats_.blocks_decoded += ws->reader.counts.blocks;
+    stats_.compressed_bytes += ws->reader.counts.bytes;
+    stats_.udp_cycles += ws->reader.counts.udp_cycles;
     stats_.cache_hit_bands += ws->hit_bands;
     stats_.cache_miss_bands += ws->miss_bands;
     stats_.cache_hit_blocks += ws->hit_blocks;
@@ -705,23 +659,21 @@ void StreamingExecutor::finish_run(double wall_seconds) {
     std::size_t scratch_max = 0;
     std::size_t out_max = 0;
     for (const auto& ws : states_) {
-      scratch_max = std::max(scratch_max, ws->scratch.slot_capacity(slot));
-      out_max = std::max(out_max, ws->out.slot_capacity(slot));
+      scratch_max = std::max(scratch_max,
+                             ws->reader.scratch_arena().slot_capacity(slot));
+      out_max = std::max(out_max, ws->reader.out_arena().slot_capacity(slot));
     }
     for (const auto& ws : states_) {
-      if (scratch_max > 0) ws->scratch.slab(slot, scratch_max);
-      if (out_max > 0) ws->out.slab(slot, out_max);
+      if (scratch_max > 0) ws->reader.scratch_arena().slab(slot, scratch_max);
+      if (out_max > 0) ws->reader.out_arena().slab(slot, out_max);
     }
   }
 }
 
 void StreamingExecutor::set_engine(DecodeEngine engine) {
   if (engine == config_.engine) return;
-  if (source_ && engine == DecodeEngine::kUdpSimulated) {
-    fail("streaming executor: the UDP simulator needs resident blocks; "
-         "out-of-core sources support the software engine only");
-  }
   config_.engine = engine;
+  for (const auto& ws : states_) ws->reader.set_engine(engine);
   clear_cache();
 }
 

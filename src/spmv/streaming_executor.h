@@ -88,16 +88,6 @@ struct StreamingConfig {
   std::size_t cache_budget_bytes = 0;
 };
 
-// A row band: consecutive blocks [first_block, first_block + block_count)
-// whose rows [first_row, end_row) no other band touches. Also the unit of
-// scheduling (a post-split band == one task).
-struct RowBand {
-  std::size_t first_block = 0;
-  std::size_t block_count = 0;
-  sparse::index_t first_row = 0;
-  sparse::index_t end_row = 0;  // exclusive
-};
-
 // Cuts the blocking plan into row-aligned bands of >= target_blocks
 // blocks (the final band may be smaller; a long row can force a larger
 // one). Always returns at least one band for a non-empty matrix.
@@ -155,16 +145,19 @@ class StreamingExecutor {
   explicit StreamingExecutor(const codec::CompressedMatrix& cm,
                              StreamingConfig config = {});
 
-  // Out-of-core variant: compressed streams come from `source` (cm may
-  // be header-only). The source reads at least one band ahead of
+  // Compressed streams come from `source` (cm may be header-only); null
+  // or resident sources read cm.blocks. Every task leases its band from
+  // the source and decodes it through a BlockReader, for either decode
+  // engine. An out-of-core source also reads at least one band ahead of
   // decode: threaded workers pop the next task from the scheduler
   // before decoding the one in hand and prefetch its band (pop-order
   // lookahead, so in-flight compressed bytes stay bounded by ~one
   // window per worker no matter how stealing reorders the run); the
   // single-threaded inline path advances a cursor over the run order,
   // primed two bands deep. Bands the BandCache serves are skipped
-  // (warm runs re-stream only what the cache couldn't pin).
-  // kUdpSimulated needs resident blocks and throws recode::Error here.
+  // (warm runs re-stream only what the cache couldn't pin). A resident
+  // source's prefetch would do nothing, so resident runs skip the
+  // lookahead and threaded workers pop one task at a time.
   StreamingExecutor(const codec::CompressedMatrix& cm,
                     std::shared_ptr<codec::ContainerSource> source,
                     StreamingConfig config = {});
@@ -211,7 +204,7 @@ class StreamingExecutor {
   }
 
  private:
-  struct WorkerState;  // per-worker arenas, UDP engine, stat slot
+  struct WorkerState;  // per-worker BlockReader and stat slot
   struct Run;          // per-call state, persistent and reset per multiply
 
   // Inline-path prefetch: advances the run-order cursor one task
@@ -231,9 +224,9 @@ class StreamingExecutor {
   static void worker_trampoline(void* self, std::size_t worker);
 
   const codec::CompressedMatrix* cm_;
-  // Non-null only on the out-of-core path; resident matrices keep the
-  // historical cm_->blocks decode (and its zero-allocation guarantee).
-  std::shared_ptr<codec::ContainerSource> source_;
+  std::shared_ptr<codec::ContainerSource> source_;  // never null
+  // Lookahead (prefetch) runs only for out-of-core sources.
+  bool out_of_core_ = false;
   StreamingConfig config_;
   std::size_t workers_ = 0;
   std::vector<RowBand> bands_;

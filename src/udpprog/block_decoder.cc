@@ -22,7 +22,7 @@ UdpPipelineDecoder::UdpPipelineDecoder(const codec::CompressedMatrix& cm,
   // recode::Error messages) as the host decode engines.
   bool uses_delta = false, uses_varint = false, uses_transpose = false;
   bool uses_snappy = false, uses_huffman = false;
-  for (std::size_t b = 0; b < cm.blocks.size(); ++b) {
+  for (std::size_t b = 0; b < cm.blocking.blocks.size(); ++b) {
     const codec::BlockCodec bc = codec::block_codec_checked(cm, b);
     for (const codec::Transform t : {bc.index_transform, bc.value_transform}) {
       uses_delta |= t == codec::Transform::kDelta32;
@@ -155,19 +155,27 @@ codec::ByteSpan UdpPipelineDecoder::decode_stream(
 
 BlockResult UdpPipelineDecoder::decode_block(std::size_t b) {
   RECODE_CHECK(b < cm_->blocks.size());
-  const codec::BlockCodec bc = codec::block_codec_checked(*cm_, b);
   const auto& block = cm_->blocks[b];
+  return decode_block(b, block.index_data, block.value_data);
+}
+
+BlockResult UdpPipelineDecoder::decode_block(std::size_t b,
+                                             codec::ByteSpan index_data,
+                                             codec::ByteSpan value_data) {
+  RECODE_CHECK(b < cm_->blocking.blocks.size());
+  const codec::BlockCodec bc = codec::block_codec_checked(*cm_, b);
   const std::size_t count = cm_->blocking.blocks[b].count;
+  const std::size_t payload = index_data.size() + value_data.size();
   telemetry::MovementLedger::global().flow(telemetry::Hop::kContainer,
-                                           block.bytes() + 1, block.bytes());
+                                           payload + 1, payload);
 
   BlockResult result;
   const codec::ByteSpan idx_bytes = decode_stream(
-      block.index_data, bc.huffman, bc.snappy, bc.index_transform,
+      index_data, bc.huffman, bc.snappy, bc.index_transform,
       index_huffman_layout_.get(), count * sizeof(sparse::index_t),
       codec::DecodeArena::kIndexOut, result.index_cycles);
   const codec::ByteSpan val_bytes = decode_stream(
-      block.value_data, bc.huffman, bc.snappy, bc.value_transform,
+      value_data, bc.huffman, bc.snappy, bc.value_transform,
       value_huffman_layout_.get(), count * sizeof(double),
       codec::DecodeArena::kValueOut, result.value_cycles);
 

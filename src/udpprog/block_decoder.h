@@ -50,6 +50,13 @@ class UdpPipelineDecoder {
   // is malformed or the decoded sizes disagree with the blocking plan.
   BlockResult decode_block(std::size_t b);
 
+  // Same decode, with the block's compressed streams supplied by the
+  // caller (a ContainerSource lease) instead of read from cm.blocks, so
+  // a header-only matrix decodes too. Bitwise-identical to the resident
+  // overload for the same bytes.
+  BlockResult decode_block(std::size_t b, codec::ByteSpan index_data,
+                           codec::ByteSpan value_data);
+
   // Dispatch-memory packing achieved by EffCLiP across all stage programs
   // (min over layouts) — tests assert near-perfect density.
   double min_layout_density() const;

@@ -6,8 +6,9 @@
 // extents, mid-band truncation, and a CorruptionEngine sweep over the
 // windowed reader. Every failure must surface as recode::Error (with
 // the file path in the message), never as UB or over-allocation beyond
-// the window budget. Runs under the sanitize preset via the
-// `robustness` and `outofcore` ctest labels.
+// the window budget. The banded engines must provision the source's
+// window pool for the workers they actually run, once. Runs under the
+// sanitize preset via the `robustness` and `outofcore` ctest labels.
 #include "codec/container_source.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "codec/container.h"
@@ -26,6 +29,8 @@
 #include "common/prng.h"
 #include "sparse/generators.h"
 #include "spmv/recoded.h"
+#include "spmv/spgemm.h"
+#include "spmv/spmspv.h"
 #include "testing/corrupt.h"
 
 namespace recode::codec {
@@ -315,19 +320,89 @@ TEST(ContainerSource, WindowBudgetBoundsInFlightBytes) {
   }
 }
 
-TEST(ContainerSource, UdpEngineRejectsOutOfCoreSources) {
-  const Csr a = test_matrix(test_seed(101));
+// Forwards every call to a real source and records the reserve() hints
+// the engines give it.
+class ReserveRecorder final : public ContainerSource {
+ public:
+  explicit ReserveRecorder(std::shared_ptr<ContainerSource> inner)
+      : inner_(std::move(inner)) {}
+
+  SourceKind kind() const override { return inner_->kind(); }
+  void prefetch(std::size_t first, std::size_t count) override {
+    inner_->prefetch(first, count);
+  }
+  void acquire(std::size_t first, std::size_t count) override {
+    inner_->acquire(first, count);
+  }
+  SourceBlockBytes block(std::size_t b) override { return inner_->block(b); }
+  void release(std::size_t first, std::size_t count) override {
+    inner_->release(first, count);
+  }
+  void end_run() override { inner_->end_run(); }
+  std::size_t range_extent_bytes(std::size_t first,
+                                 std::size_t count) const override {
+    return inner_->range_extent_bytes(first, count);
+  }
+  void reserve(std::size_t leases, std::size_t max_lease_bytes) override {
+    calls.emplace_back(leases, max_lease_bytes);
+    inner_->reserve(leases, max_lease_bytes);
+  }
+  SourceStats stats() const override { return inner_->stats(); }
+
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+
+ private:
+  std::shared_ptr<ContainerSource> inner_;
+};
+
+TEST(ContainerSource, SpgemmReservesTwoLeasesPerWorkerItRuns) {
+  const std::uint64_t seed = test_seed(107);
+  // Large enough for several row-aligned bands (so the worker count is
+  // not pinned to 1 by the task count).
+  const Csr a = sparse::gen_fem_like(9000, 9, 250,
+                                     sparse::ValueModel::kSmoothField, seed);
+  const Csr b = sparse::gen_banded(a.cols, 4, 0.8,
+                                   sparse::ValueModel::kRandom, seed + 1);
   const auto cm = compress(a, PipelineConfig::udp_dsh());
-  const std::string path = temp_path("udp");
+  const std::string path = temp_path("spgemm_reserve");
+  write_compressed_file(path, cm, /*with_index=*/true);
+
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
+    OpenedContainer oc = open_container(path, SourceKind::kStreamed);
+    auto recorder = std::make_shared<ReserveRecorder>(oc.source);
+    spmv::SpgemmConfig cfg;
+    cfg.threads = threads;
+    spmv::SpgemmStats stats;
+    spmv::spgemm(*oc.matrix, recorder, b, cfg, &stats);
+    ASSERT_GT(stats.tasks, 2u) << "threads=" << threads;
+    const std::size_t workers = std::min(stats.tasks, threads ? threads : hw);
+    ASSERT_EQ(recorder->calls.size(), 1u) << "threads=" << threads;
+    EXPECT_EQ(recorder->calls[0].first, 2 * workers) << "threads=" << threads;
+    EXPECT_GT(recorder->calls[0].second, 0u);
+  }
+}
+
+TEST(ContainerSource, SpmspvReservesOnceAtConstruction) {
+  const Csr a = test_matrix(test_seed(108));
+  const auto cm = compress(a, PipelineConfig::udp_dsh());
+  const std::string path = temp_path("spmspv_reserve");
   write_compressed_file(path, cm, /*with_index=*/true);
   OpenedContainer oc = open_container(path, SourceKind::kStreamed);
-  EXPECT_THROW((spmv::RecodedSpmv(*oc.matrix, oc.source,
-                                  spmv::DecodeEngine::kUdpSimulated)),
-               Error);
-  // A resident source carries real blocks; the UDP engine stays legal.
-  OpenedContainer res = open_container(path, SourceKind::kResident);
-  EXPECT_NO_THROW((spmv::RecodedSpmv(*res.matrix, res.source,
-                                     spmv::DecodeEngine::kUdpSimulated)));
+  auto recorder = std::make_shared<ReserveRecorder>(oc.source);
+  spmv::SpmspvConfig cfg;
+  cfg.threads = 2;
+  spmv::SpmspvEngine engine(*oc.matrix, recorder, cfg);
+  ASSERT_EQ(recorder->calls.size(), 1u);
+  EXPECT_EQ(recorder->calls[0].first, 4u);
+
+  spmv::SparseVector x;
+  x.indices = {0, 17, 1000, 3999};
+  x.values = {1.0, -2.0, 0.5, 3.0};
+  std::vector<double> y(static_cast<std::size_t>(a.rows));
+  for (int rep = 0; rep < 3; ++rep) engine.multiply(x, y);
+  EXPECT_EQ(recorder->calls.size(), 1u) << "multiply re-reserved windows";
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Out-of-core differential battery (ISSUE 9): the resident, mmap, and
 // streamed backends must produce bitwise-identical SpMV / SpMM / CG
 // results across thread counts {1, 2, 7} and cache budgets {0, half,
-// unlimited} — the executor's bitwise contract extended to the storage
-// tier. Warm solver iterations must re-stream only the bands
+// unlimited}, all equal to serial spmv_csr — the executor's bitwise
+// contract extended to the storage tier. The UDP lane simulator decodes
+// out-of-core leases too, with the same bits. Warm solver iterations must re-stream only the bands
 // the BandCache couldn't pin (asserted on the source's bytes_read), and
 // the streamed backend's warmed steady state must perform zero heap
 // allocations (global operator-new hook, the PR 4 pattern). Runs under
@@ -25,6 +26,7 @@
 #include "common/prng.h"
 #include "solver/solver.h"
 #include "sparse/generators.h"
+#include "spmv/kernels.h"
 #include "spmv/recoded.h"
 #include "spmv/streaming_executor.h"
 
@@ -98,11 +100,13 @@ TEST(OutOfCoreDifferential, SpmvBitwiseAcrossBackendsThreadsCaches) {
   const std::string path = write_container(a, "spmv");
   const auto x = random_vector(static_cast<std::size_t>(a.cols), seed + 1);
 
-  // Serial resident reference.
+  // Serial resident reference, and the serial CSR oracle.
   OpenedContainer ref = codec::open_container(path, SourceKind::kResident);
   RecodedSpmv serial(*ref.matrix);
   std::vector<double> y_ref(static_cast<std::size_t>(a.rows));
   serial.multiply(x, y_ref);
+  std::vector<double> y_csr(y_ref.size());
+  spmv_csr(a, x, y_csr);
 
   const std::size_t decoded_bytes = a.nnz() * 12;
   const std::size_t budgets[] = {0, decoded_bytes / 2, SIZE_MAX};
@@ -117,6 +121,9 @@ TEST(OutOfCoreDifferential, SpmvBitwiseAcrossBackendsThreadsCaches) {
     ASSERT_EQ(0,
               std::memcmp(y.data(), y_ref.data(), y.size() * sizeof(double)))
         << "serial " << codec::source_kind_name(kind);
+    ASSERT_EQ(0,
+              std::memcmp(y.data(), y_csr.data(), y.size() * sizeof(double)))
+        << "serial vs spmv_csr " << codec::source_kind_name(kind);
 
     for (const std::size_t threads : {1u, 2u, 7u}) {
       for (const std::size_t cache : budgets) {
@@ -128,8 +135,56 @@ TEST(OutOfCoreDifferential, SpmvBitwiseAcrossBackendsThreadsCaches) {
                                    y.size() * sizeof(double)))
               << codec::source_kind_name(kind) << " threads=" << threads
               << " cache=" << cache << " rep=" << rep;
+          ASSERT_EQ(0, std::memcmp(y.data(), y_csr.data(),
+                                   y.size() * sizeof(double)))
+              << "vs spmv_csr: " << codec::source_kind_name(kind)
+              << " threads=" << threads << " cache=" << cache
+              << " rep=" << rep;
         }
       }
+    }
+  }
+}
+
+TEST(OutOfCoreDifferential, UdpEngineBitwiseOverOutOfCoreSources) {
+  // The lane simulator is slow: a small matrix that still has several
+  // bands of 4 blocks.
+  const std::uint64_t seed = test_seed(64);
+  const Csr a = sparse::gen_fem_like(2400, 9, 120,
+                                     sparse::ValueModel::kSmoothField, seed);
+  const std::string path = write_container(a, "udp");
+  const auto x = random_vector(static_cast<std::size_t>(a.cols), seed + 1);
+  std::vector<double> y_csr(static_cast<std::size_t>(a.rows));
+  spmv_csr(a, x, y_csr);
+
+  for (const SourceKind kind : {SourceKind::kMmap, SourceKind::kStreamed}) {
+    OpenedContainer oc = codec::open_container(path, kind);
+    std::vector<double> y(y_csr.size());
+    RecodedSpmv serial(*oc.matrix, oc.source, DecodeEngine::kUdpSimulated);
+    serial.multiply(x, y);
+    ASSERT_EQ(0,
+              std::memcmp(y.data(), y_csr.data(), y.size() * sizeof(double)))
+        << "serial " << codec::source_kind_name(kind);
+    EXPECT_GT(serial.udp_cycles(), 0u);
+
+    for (const std::size_t workers : {1u, 3u}) {
+      StreamingConfig cfg;
+      cfg.engine = DecodeEngine::kUdpSimulated;
+      cfg.decode_threads = std::max<std::size_t>(workers - 1, 1);
+      cfg.compute_threads = 1;
+      cfg.blocks_per_band = 4;
+      cfg.fused_inline_blocks = workers == 1 ? SIZE_MAX : 0;
+      StreamingExecutor exec(*oc.matrix, oc.source, cfg);
+      for (int rep = 0; rep < 2; ++rep) {  // both serpentine directions
+        std::fill(y.begin(), y.end(), 1e300);
+        exec.multiply(x, y);
+        ASSERT_EQ(0, std::memcmp(y.data(), y_csr.data(),
+                                 y.size() * sizeof(double)))
+            << codec::source_kind_name(kind) << " workers=" << workers
+            << " rep=" << rep;
+      }
+      EXPECT_EQ(exec.last_stats().workers, workers);
+      EXPECT_GT(exec.last_stats().udp_cycles, 0u);
     }
   }
 }
@@ -146,6 +201,11 @@ TEST(OutOfCoreDifferential, SpmmBatchBitwiseAcrossBackends) {
   RecodedSpmv serial(*ref.matrix);
   std::vector<double> y_ref(static_cast<std::size_t>(a.rows) * k);
   serial.multiply_batch(x, y_ref, k);
+  std::vector<double> y_csr(y_ref.size());
+  spmm_csr(a, x, y_csr, k);
+  ASSERT_EQ(0, std::memcmp(y_ref.data(), y_csr.data(),
+                           y_ref.size() * sizeof(double)))
+      << "serial vs spmm_csr";
 
   for (const SourceKind kind : kAllKinds) {
     OpenedContainer oc = codec::open_container(path, kind);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 
 #include "common/error.h"
@@ -17,6 +16,9 @@ using codec::PipelineConfig;
 using sparse::Csr;
 using sparse::ValueModel;
 
+constexpr DecodeEngine kEngines[] = {DecodeEngine::kSoftware,
+                                     DecodeEngine::kUdpSimulated};
+
 std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   recode::Prng prng(seed);
   std::vector<double> v(n);
@@ -24,12 +26,14 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-void expect_near_vec(const std::vector<double>& a,
-                     const std::vector<double>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i], b[i], 1e-9 * (1.0 + std::abs(a[i]))) << "at " << i;
-  }
+// The one oracle: every recoded product is bitwise-equal to the serial
+// CSR kernel (spmv_csr / spmm_csr) on the same input.
+void expect_bitwise(const std::vector<double>& got,
+                    const std::vector<double>& want, DecodeEngine engine) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           got.size() * sizeof(double)))
+      << decode_engine_name(engine);
 }
 
 TEST(RecodedSpmv, SoftwareEngineMatchesPlainKernel) {
@@ -41,7 +45,7 @@ TEST(RecodedSpmv, SoftwareEngineMatchesPlainKernel) {
   std::vector<double> y_recoded(y_plain.size());
   spmv_csr(a, x, y_plain);
   recoded.multiply(x, y_recoded);
-  expect_near_vec(y_recoded, y_plain);
+  expect_bitwise(y_recoded, y_plain, DecodeEngine::kSoftware);
   EXPECT_EQ(recoded.blocks_decoded(), cm.blocks.size());
   EXPECT_EQ(recoded.compressed_bytes_streamed(),
             cm.stream_bytes() - 256);  // minus the two Huffman tables
@@ -56,8 +60,9 @@ TEST(RecodedSpmv, UdpSimulatedEngineMatchesPlainKernel) {
   std::vector<double> y_recoded(y_plain.size());
   spmv_csr(a, x, y_plain);
   recoded.multiply(x, y_recoded);
-  expect_near_vec(y_recoded, y_plain);
+  expect_bitwise(y_recoded, y_plain, DecodeEngine::kUdpSimulated);
   EXPECT_GT(recoded.udp_cycles(), 0u);
+  EXPECT_EQ(recoded.compressed_bytes_streamed(), cm.stream_bytes() - 256);
 }
 
 TEST(RecodedSpmv, WorksAcrossPipelineConfigs) {
@@ -69,10 +74,12 @@ TEST(RecodedSpmv, WorksAcrossPipelineConfigs) {
        {PipelineConfig::udp_dsh(), PipelineConfig::udp_ds(),
         PipelineConfig::cpu_snappy()}) {
     const auto cm = codec::compress(a, cfg);
-    RecodedSpmv recoded(cm);
-    std::vector<double> y(y_plain.size());
-    recoded.multiply(x, y);
-    expect_near_vec(y, y_plain);
+    for (const DecodeEngine engine : kEngines) {
+      RecodedSpmv recoded(cm, engine);
+      std::vector<double> y(y_plain.size());
+      recoded.multiply(x, y);
+      expect_bitwise(y, y_plain, engine);
+    }
   }
 }
 
@@ -88,32 +95,38 @@ TEST(RecodedSpmv, RepeatedMultiplyAccumulatesStats) {
 }
 
 TEST(RecodedSpmv, MultiRhsMatchesIndependentMultiplies) {
-  // SpMM mode against k independent multiply() calls: per column, the
-  // accumulation order is identical, so the only admissible divergence is
-  // FP contraction between the two inner loops — bounded far below 1e-12.
+  // SpMM mode is bitwise spmm_csr, and each of its columns is bitwise
+  // the spmv_csr of that column — for both decode engines.
   const Csr a = sparse::gen_fem_like(2600, 9, 70, ValueModel::kSmoothField, 12);
   const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
   const auto rows = static_cast<std::size_t>(a.rows);
   const auto cols = static_cast<std::size_t>(a.cols);
-  for (const int k : {1, 4, 8}) {
-    const auto ks = static_cast<std::size_t>(k);
-    const auto x = random_vector(cols * ks, 31 + static_cast<std::uint64_t>(k));
-    std::vector<double> y_batch(rows * ks);
-    RecodedSpmv batch(cm);
-    batch.multiply_batch(x, y_batch, k);
-    EXPECT_EQ(batch.blocks_decoded(), cm.blocks.size());  // decoded once
+  for (const DecodeEngine engine : kEngines) {
+    for (const int k : {1, 4, 8}) {
+      const auto ks = static_cast<std::size_t>(k);
+      const auto x =
+          random_vector(cols * ks, 31 + static_cast<std::uint64_t>(k));
+      std::vector<double> y_batch(rows * ks);
+      std::vector<double> y_spmm(rows * ks);
+      RecodedSpmv batch(cm, engine);
+      batch.multiply_batch(x, y_batch, k);
+      EXPECT_EQ(batch.blocks_decoded(), cm.blocks.size());  // decoded once
+      spmm_csr(a, x, y_spmm, k);
+      expect_bitwise(y_batch, y_spmm, engine);
 
-    for (int j = 0; j < k; ++j) {
-      std::vector<double> xj(cols), yj(rows);
-      for (std::size_t i = 0; i < cols; ++i) {
-        xj[i] = x[i * ks + static_cast<std::size_t>(j)];
-      }
-      RecodedSpmv single(cm);
-      single.multiply(xj, yj);
-      for (std::size_t r = 0; r < rows; ++r) {
-        EXPECT_NEAR(y_batch[r * ks + static_cast<std::size_t>(j)], yj[r],
-                    1e-12 * (1.0 + std::abs(yj[r])))
-            << "k=" << k << " rhs=" << j << " row=" << r;
+      for (int j = 0; j < k; ++j) {
+        std::vector<double> xj(cols), yj(rows), yj_csr(rows), y_col(rows);
+        for (std::size_t i = 0; i < cols; ++i) {
+          xj[i] = x[i * ks + static_cast<std::size_t>(j)];
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+          y_col[r] = y_batch[r * ks + static_cast<std::size_t>(j)];
+        }
+        RecodedSpmv single(cm, engine);
+        single.multiply(xj, yj);
+        spmv_csr(a, xj, yj_csr);
+        expect_bitwise(yj, yj_csr, engine);
+        expect_bitwise(y_col, yj_csr, engine);
       }
     }
   }
@@ -140,13 +153,15 @@ TEST(RecodedSpmv, MultiRhsMatchesSpmmKernel) {
   const int k = 4;
   const auto x = random_vector(
       static_cast<std::size_t>(a.cols) * static_cast<std::size_t>(k), 16);
-  std::vector<double> y_recoded(static_cast<std::size_t>(a.rows) *
-                                static_cast<std::size_t>(k));
-  std::vector<double> y_plain(y_recoded.size());
-  RecodedSpmv recoded(cm);
-  recoded.multiply_batch(x, y_recoded, k);
+  std::vector<double> y_plain(static_cast<std::size_t>(a.rows) *
+                              static_cast<std::size_t>(k));
   spmm_csr(a, x, y_plain, k);
-  expect_near_vec(y_recoded, y_plain);
+  for (const DecodeEngine engine : kEngines) {
+    std::vector<double> y_recoded(y_plain.size());
+    RecodedSpmv recoded(cm, engine);
+    recoded.multiply_batch(x, y_recoded, k);
+    expect_bitwise(y_recoded, y_plain, engine);
+  }
 }
 
 TEST(RecodedSpmv, RejectsOutOfRangeDecodedIndices) {
@@ -169,11 +184,15 @@ TEST(RecodedSpmv, RowsSpanningBlockBoundaries) {
   const Csr a = coo_to_csr(coo);
   const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
   ASSERT_GT(cm.blocks.size(), 3u);
-  RecodedSpmv recoded(cm);
   const auto x = random_vector(6000, 6);
-  std::vector<double> y(6000);
-  recoded.multiply(x, y);
-  expect_near_vec(y, sparse::spmv_reference(a, x));
+  std::vector<double> y_plain(6000);
+  spmv_csr(a, x, y_plain);
+  for (const DecodeEngine engine : kEngines) {
+    RecodedSpmv recoded(cm, engine);
+    std::vector<double> y(6000);
+    recoded.multiply(x, y);
+    expect_bitwise(y, y_plain, engine);
+  }
 }
 
 }  // namespace

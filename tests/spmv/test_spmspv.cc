@@ -165,6 +165,50 @@ TEST(Spmspv, SkipsBlocksOutsideSmallFrontier) {
   expect_bitwise(y, y_ref, "banded skip");
 }
 
+TEST(Spmspv, SkipsInsideBandsOverEveryBackend) {
+  // A frontier that needs only some blocks of a band: each source lease
+  // covers just a run of needed blocks, and the lookahead prefetch hints
+  // exactly that lease, so the streamed backend's lease-matches-prefetch
+  // contract holds while the skipped blocks are never read.
+  const std::uint64_t seed = test_seed(117);
+  const Csr a = sparse::gen_banded(20000, 5, 0.7, ValueModel::kRandom, seed);
+  const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
+  const std::string path = "spmspv_skip.rcm";
+  codec::write_compressed_file(path, cm, /*with_index=*/true);
+
+  SparseVector x;
+  for (sparse::index_t c = 50; c < a.cols; c += 1500) {
+    x.indices.push_back(c);
+    x.values.push_back(0.5 + static_cast<double>(c % 7));
+  }
+  std::vector<double> y_ref(static_cast<std::size_t>(a.rows));
+  RecodedSpmv(cm).multiply(scatter_dense(x, a.cols), y_ref);
+
+  for (const SourceKind kind : kAllKinds) {
+    for (const std::size_t threads : {1u, 2u}) {
+      OpenedContainer oc = codec::open_container(path, kind);
+      SpmspvConfig cfg;
+      cfg.threads = threads;
+      cfg.blocks_per_band = 16;
+      SpmspvEngine engine(*oc.matrix, oc.source, cfg);
+      std::vector<double> y(y_ref.size());
+      const std::string tag = std::string(codec::source_kind_name(kind)) +
+                              " threads=" + std::to_string(threads);
+      for (int rep = 0; rep < 2; ++rep) {
+        engine.multiply(x, y);
+        expect_bitwise(y, y_ref, tag.c_str());
+      }
+      const SpmspvStats& stats = engine.last_stats();
+      EXPECT_GT(stats.blocks_skipped, 0u) << tag;
+      EXPECT_GT(stats.blocks_decoded, 0u) << tag;
+      EXPECT_EQ(stats.blocks_decoded + stats.blocks_skipped,
+                stats.blocks_total)
+          << tag;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Spmspv, PowerLawFrontierSkipRatioReported) {
   const std::uint64_t seed = test_seed(114);
   const Csr a = sparse::gen_powerlaw(30000, 6.0, 1.0, ValueModel::kUnit, seed);

@@ -4,7 +4,8 @@
 // test: the pipeline always drains — every worker exits, every deque and
 // the injector end empty (scheduler_queued() == 0), nothing deadlocks or
 // leaks — and the first recode::Error is rethrown on the caller's thread.
-// The warmed threaded path, cold and cache-served, additionally runs
+// The warmed threaded path, cold and cache-served, and the serial
+// RecodedSpmv over its default source additionally run
 // under a global operator-new counting hook asserting the
 // zero-steady-state-allocation guarantee (the test_fast_decode.cc
 // pattern). Runs under the sanitize preset (and the tsan preset) via the
@@ -315,6 +316,39 @@ TEST(StreamingStress, WarmCachedThreadedMultiplyIsAllocationFree) {
   EXPECT_FALSE(st.inline_run);
   EXPECT_EQ(st.blocks_decoded, 0u);
   EXPECT_EQ(st.cache_hit_bands, exec.bands().size());
+}
+
+// The serial engine built without a source reads through the implicit
+// resident source, and its warmed multiply is heap-silent too: the
+// chunked lease walk and the reader's grown arenas allocate nothing.
+TEST(StreamingStress, WarmRecodedSpmvDefaultSourceIsAllocationFree) {
+  if (!codec::fast::kEnabled) {
+    GTEST_SKIP() << "reference decoders allocate per block "
+                    "(RECODE_FAST_DECODE=OFF)";
+  }
+  const std::uint64_t seed = test_seed(49);
+  const Csr a = stress_matrix(seed + 31);
+  const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
+  const auto x = random_vector(static_cast<std::size_t>(a.cols), seed + 8);
+  std::vector<double> y_oracle(static_cast<std::size_t>(a.rows));
+  spmv_csr(a, x, y_oracle);
+
+  RecodedSpmv engine(cm);
+  std::vector<double> y(y_oracle.size());
+  engine.multiply(x, y);
+  engine.multiply(x, y);
+
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  for (int rep = 0; rep < 4; ++rep) {
+    engine.multiply(x, y);
+  }
+  const std::uint64_t after =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " heap allocations across 4 warmed multiplies";
+  ASSERT_EQ(0, std::memcmp(y.data(), y_oracle.data(),
+                           y.size() * sizeof(double)));
 }
 
 TEST(StreamingStress, ParallelForPropagatesBodyExceptions) {
