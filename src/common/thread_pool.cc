@@ -72,59 +72,6 @@ void ThreadPool::parallel_for(
   }
 }
 
-WorkerTeam::WorkerTeam(std::size_t threads) {
-  if (threads == 0) threads = 1;
-  threads_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    threads_.emplace_back([this, i] { thread_loop(i); });
-  }
-}
-
-WorkerTeam::~WorkerTeam() {
-  wait();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void WorkerTeam::run(Body body, void* ctx) {
-  std::lock_guard<std::mutex> lock(mu_);
-  body_ = body;
-  ctx_ = ctx;
-  working_ = threads_.size();
-  ++generation_;
-  start_cv_.notify_all();
-}
-
-void WorkerTeam::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return working_ == 0; });
-}
-
-void WorkerTeam::thread_loop(std::size_t index) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    Body body;
-    void* ctx;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      body = body_;
-      ctx = ctx_;
-    }
-    body(ctx, index);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--working_ == 0) done_cv_.notify_all();
-    }
-  }
-}
-
 void ThreadPool::worker_loop() {
   while (true) {
     std::function<void()> task;

@@ -1,7 +1,7 @@
-// Work-stealing scheduling primitives for the streaming SpMV executor
-// (and any future per-item parallel stage): a Chase–Lev-style per-worker
-// deque plus a scheduler that combines one deque per worker with a small
-// mutex-guarded injector queue.
+// Work-stealing scheduling primitives under spmv::BandRunner
+// (spmv/band_runner.h), the fan-out every compressed engine runs on: a
+// Chase–Lev-style per-worker deque plus a scheduler that owns one deque
+// per worker.
 //
 // Why this replaces the bounded per-band queues: with rigid capacity-2
 // band queues the decode stage (96% of the measured busy time,
@@ -27,14 +27,17 @@
 // order.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <memory>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "common/error.h"
 
 namespace recode {
 
@@ -57,10 +60,9 @@ class WorkStealingDeque {
   enum class Steal { kStolen, kEmpty, kAbort };
 
   // Capacity is rounded up to a power of two. The deque never grows:
-  // push_bottom fails when full and the caller overflows into the
-  // scheduler's injector queue instead (growth would need epoch-based
-  // buffer reclamation, unjustified when the task count is known at seed
-  // time).
+  // push_bottom fails when full (growth would need epoch-based buffer
+  // reclamation, unjustified when the task count is known at seed time,
+  // so the scheduler sizes every deque to hold its share of the seed).
   explicit WorkStealingDeque(std::size_t capacity = 256) {
     std::size_t cap = 1;
     while (cap < capacity) cap *= 2;
@@ -160,37 +162,31 @@ class WorkStealingDeque {
 struct StealStats {
   std::atomic<std::uint64_t> steals{0};          // successful steal_top
   std::atomic<std::uint64_t> steal_attempts{0};  // probes incl. empty/abort
-  std::atomic<std::uint64_t> injector_pops{0};
   std::atomic<std::uint64_t> local_pops{0};
 
   void reset() {
     steals.store(0, std::memory_order_relaxed);
     steal_attempts.store(0, std::memory_order_relaxed);
-    injector_pops.store(0, std::memory_order_relaxed);
     local_pops.store(0, std::memory_order_relaxed);
   }
 };
 
-// N-worker work-stealing scheduler over a fixed task set: one deque per
-// worker plus a small mutex-guarded injector queue for overflow and for
-// tasks submitted from outside the worker set. acquire() is the only
-// entry point workers need — it tries the local deque (LIFO), then the
-// injector, then steals (FIFO) from the other workers, and spins with
-// backoff until work appears, every task is done, or the run is
-// cancelled.
+// N-worker work-stealing scheduler over a fixed task set, one deque per
+// worker. acquire() is the only entry point workers need — it tries the
+// local deque (LIFO), then steals (FIFO) from the other workers, and
+// spins with backoff until work appears, every task is done, or the run
+// is cancelled.
 //
-// Lifecycle: seed()/inject() while quiescent (or inject concurrently
-// from non-workers), workers call acquire()/complete(), then the owner
-// calls reset() before the next run. A cancelled run still guarantees
-// every deque and the injector end up empty once all workers have
+// Lifecycle: seed() while quiescent, workers call acquire()/complete(),
+// then the owner calls reset() before the next run. A cancelled run
+// still guarantees every deque ends up empty once all workers have
 // returned from acquire() — the "drained on error" contract the
 // streaming executor's fault tests assert.
 template <typename T>
 class WorkStealingScheduler {
  public:
   explicit WorkStealingScheduler(std::size_t workers,
-                                 std::size_t deque_capacity = 256)
-      : injector_open_(true) {
+                                 std::size_t deque_capacity = 256) {
     if (workers == 0) workers = 1;
     deques_.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i) {
@@ -200,29 +196,22 @@ class WorkStealingScheduler {
 
   std::size_t workers() const { return deques_.size(); }
 
-  // Quiescent: distribute tasks round-robin across the worker deques,
-  // overflowing into the injector when a deque is full. Expects a reset
-  // scheduler. Also arms the outstanding-task counter.
-  void seed(const std::vector<T>& tasks) {
+  // Quiescent: distribute tasks round-robin across the deques of the
+  // first `active` workers (all of them by default); the others start
+  // empty and only steal. Expects a reset scheduler whose deques can
+  // hold the whole seed — a contract check, verified before anything is
+  // pushed. Also arms the outstanding-task counter.
+  void seed(std::span<const T> tasks,
+            std::size_t active = static_cast<std::size_t>(-1)) {
+    const std::size_t n = std::clamp<std::size_t>(active, 1, deques_.size());
+    RECODE_CHECK_MSG((tasks.size() + n - 1) / n <= deques_[0]->capacity(),
+                     "work-stealing seed exceeds the deque capacity");
     std::size_t w = 0;
     for (const T& task : tasks) {
-      if (!deques_[w]->push_bottom(task)) {
-        std::lock_guard<std::mutex> lock(injector_mu_);
-        injector_.push_back(task);
-      }
-      w = (w + 1) % deques_.size();
+      deques_[w]->push_bottom(task);
+      w = (w + 1) % n;
     }
     remaining_.store(tasks.size(), std::memory_order_relaxed);
-  }
-
-  // Thread-safe submission from any thread (including non-workers).
-  // Counts toward the outstanding tasks.
-  void inject(T task) {
-    {
-      std::lock_guard<std::mutex> lock(injector_mu_);
-      injector_.push_back(task);
-    }
-    remaining_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Blocks (spinning with yield backoff) until a task is available,
@@ -238,10 +227,6 @@ class WorkStealingScheduler {
       }
       if (own.pop_bottom(out)) {
         stats_.local_pops.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if (try_pop_injector(out)) {
-        stats_.injector_pops.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
       bool any_abort = false;
@@ -261,8 +246,8 @@ class WorkStealingScheduler {
       }
       if (remaining_.load(std::memory_order_acquire) == 0) return false;
       if (!any_abort) {
-        // Nothing visible anywhere: either the last tasks are in flight
-        // on other workers or a producer is about to inject. Back off —
+        // Nothing visible anywhere: the last tasks are in flight on
+        // other workers. Back off —
         // on a loaded host an aggressive spinner steals cycles from the
         // very worker it is waiting on.
         ++idle_sweeps;
@@ -275,10 +260,10 @@ class WorkStealingScheduler {
     }
   }
 
-  // One non-blocking sweep: own deque, then injector, then a single
-  // steal round. For callers that must not block while already holding
-  // an uncompleted task — acquire() spins until remaining_ hits zero,
-  // so re-entering it with a live task would deadlock the last worker.
+  // One non-blocking sweep: own deque, then a single steal round. For
+  // callers that must not block while already holding an uncompleted
+  // task — acquire() spins until remaining_ hits zero, so re-entering it
+  // with a live task would deadlock the last worker.
   // Returns false on a momentarily-empty sweep, after cancel(), or when
   // every task is done; the caller falls back to finishing its held
   // task and calling the blocking acquire() afterwards.
@@ -286,10 +271,6 @@ class WorkStealingScheduler {
     if (cancelled_.load(std::memory_order_acquire)) return false;
     if (deques_[worker]->pop_bottom(out)) {
       stats_.local_pops.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    if (try_pop_injector(out)) {
-      stats_.injector_pops.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     for (std::size_t i = 1; i < deques_.size(); ++i) {
@@ -309,12 +290,8 @@ class WorkStealingScheduler {
   void complete() { remaining_.fetch_sub(1, std::memory_order_acq_rel); }
 
   // Error path: every acquire() returns false after draining the
-  // caller's own deque; queued injector tasks are dropped immediately.
-  void cancel() {
-    cancelled_.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(injector_mu_);
-    injector_.clear();
-  }
+  // caller's own deque.
+  void cancel() { cancelled_.store(true, std::memory_order_release); }
 
   bool cancelled() const {
     return cancelled_.load(std::memory_order_acquire);
@@ -325,14 +302,13 @@ class WorkStealingScheduler {
     return remaining_.load(std::memory_order_acquire);
   }
 
-  // Total tasks currently queued across every deque and the injector
-  // (approximate while workers run; exact when quiescent — the
-  // drained-after-error assertion).
+  // Total tasks currently queued across every deque (approximate while
+  // workers run; exact when quiescent — the drained-after-error
+  // assertion).
   std::size_t queued() const {
     std::size_t total = 0;
     for (const auto& d : deques_) total += d->size();
-    std::lock_guard<std::mutex> lock(injector_mu_);
-    return total + injector_.size();
+    return total;
   }
 
   // Approximate occupancy of one worker's deque (telemetry sampling).
@@ -343,28 +319,15 @@ class WorkStealingScheduler {
   const StealStats& stats() const { return stats_; }
 
   // Quiescent: back to a clean, uncancelled, empty scheduler. Buffers
-  // are retained, so reset+seed performs no heap allocation once the
-  // injector deque has seen its high-water mark.
+  // are retained, so reset+seed performs no heap allocation.
   void reset() {
     for (auto& d : deques_) d->reset();
-    {
-      std::lock_guard<std::mutex> lock(injector_mu_);
-      injector_.clear();
-    }
     remaining_.store(0, std::memory_order_relaxed);
     cancelled_.store(false, std::memory_order_relaxed);
     stats_.reset();
   }
 
  private:
-  bool try_pop_injector(T& out) {
-    std::lock_guard<std::mutex> lock(injector_mu_);
-    if (injector_.empty()) return false;
-    out = injector_.front();
-    injector_.pop_front();
-    return true;
-  }
-
   void drain_own(std::size_t worker) {
     T discard;
     while (deques_[worker]->pop_bottom(discard)) {
@@ -372,9 +335,6 @@ class WorkStealingScheduler {
   }
 
   std::vector<std::unique_ptr<WorkStealingDeque<T>>> deques_;
-  mutable std::mutex injector_mu_;
-  std::deque<T> injector_;
-  bool injector_open_;
   std::atomic<std::size_t> remaining_{0};
   std::atomic<bool> cancelled_{false};
   StealStats stats_;

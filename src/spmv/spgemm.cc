@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <thread>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -240,6 +240,9 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
                      "spgemm: b.rows must equal a.cols");
   RECODE_PARSE_CHECK(b.row_ptr.size() == static_cast<std::size_t>(b.rows) + 1,
                      "spgemm: malformed b.row_ptr");
+  // Checked before any state exists: 0 = one per hardware thread, and
+  // more than kMaxWorkers throws (it would also wrap 4 * threads below).
+  const std::size_t threads = resolve_workers(cfg.threads);
 
   sparse::Csr c;
   c.rows = a.rows;
@@ -258,19 +261,15 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
     if (stats) stats->workers = 1;
     return c;  // nnz == 0: C is all-empty rows
   }
-  // Resolved once: the thread count, the scratch slots, the window
-  // reservation and the fan-out all use the same number.
-  const std::size_t threads =
-      cfg.threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : cfg.threads;
   if (cfg.threads != 1 && job.bands.size() > 1) {
     // Spread the matrix over ~4 tasks per worker so stealing has slack.
     const std::size_t max_blocks = std::max<std::size_t>(
         1, a.blocking.block_count() / (4 * threads));
     job.bands = split_row_bands(a.blocking, job.bands, max_blocks);
   }
-  const std::size_t workers = std::min(job.bands.size(), threads);
+  // Resolved once: the scratch slots, the window reservation and the
+  // fan-out all use the same number.
+  const std::size_t workers = resolve_workers(threads, job.bands.size());
   job.outs.resize(job.bands.size());
   job.c_row_len.assign(static_cast<std::size_t>(a.rows), 0);
   reserve_for_bands(*source, job.bands, 2 * workers);
@@ -280,20 +279,20 @@ sparse::Csr spgemm(const codec::CompressedMatrix& a,
     scratch.push_back(std::make_unique<WorkerScratch>(a, *source));
   }
 
+  std::vector<std::uint32_t> order(job.bands.size());
+  std::iota(order.begin(), order.end(), 0u);
+  const auto body = [&](std::size_t band_id, std::size_t worker) {
+    process_band(job, band_id, *scratch[worker]);
+  };
+  const auto prefetch = [&](std::size_t t, std::size_t) {
+    source->prefetch(job.bands[t].first_block, job.bands[t].block_count);
+  };
+  BandRunner runner(workers, order.size());
   BandRunStats run_stats;
   {
     SourceRun run(*source);
-    run_stats = run_band_tasks(
-        workers, job.bands.size(),
-        [&](std::size_t band_id, std::size_t worker) {
-          process_band(job, band_id, *scratch[worker]);
-        },
-        source->out_of_core()
-            ? std::function<void(std::size_t)>([&](std::size_t t) {
-                source->prefetch(job.bands[t].first_block,
-                                 job.bands[t].block_count);
-              })
-            : std::function<void(std::size_t)>());
+    run_stats = runner.run(order, workers, body,
+                           source->out_of_core() ? TaskFn(prefetch) : TaskFn());
   }
 
   // Stitch: bands are row-ordered and own disjoint row ranges, so C is

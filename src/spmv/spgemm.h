@@ -24,7 +24,8 @@
 // bit for bit (asserted by tests/spmv/test_spgemm.cc).
 //
 // Parallelism: A's blocking plan is cut into row-aligned bands
-// (make_row_bands) and fanned out over the work-stealing band runner.
+// (make_row_bands) and fanned out over a BandRunner (spmv/band_runner.h),
+// built once per call.
 // Tasks own disjoint C row ranges and each row is produced by exactly one
 // task, so output is bitwise-identical serial vs parallel for any worker
 // count and steal order. B is a decoded operand (Gustavson needs random
@@ -45,8 +46,9 @@
 namespace recode::spmv {
 
 struct SpgemmConfig {
-  // Worker threads for the band fan-out (0 = hardware_concurrency,
-  // 1 = inline serial on the calling thread).
+  // Worker threads for the band fan-out (0 = one per hardware thread,
+  // 1 = inline serial on the calling thread; more than kMaxWorkers
+  // throws recode::Error at call entry).
   std::size_t threads = 1;
   // Band granularity over A's blocking plan (make_row_bands target).
   std::size_t blocks_per_band = 8;
@@ -72,8 +74,8 @@ struct SpgemmStats {
 // C = A * B over A's decoded-block stream. `a_source` serves A's
 // compressed bytes (one lease per band, decoded through a BlockReader);
 // nullptr or a resident source reads cm.blocks through the same path.
-// The worker count is resolved once (threads, or hardware_concurrency,
-// capped at the task count) and sizes the scratch, the source's window
+// The worker count is resolved once (threads, or one per hardware
+// thread, capped at the task count) and sizes the scratch, the source's window
 // reservation (two leases per worker) and the fan-out alike. Requires
 // b.rows == a.cols. Throws recode::Error on corrupt streams (decode
 // faults, out-of-range indices).

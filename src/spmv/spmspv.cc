@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
+#include <numeric>
 
 #include "common/error.h"
-#include "spmv/band_runner.h"
 #include "spmv/block_reader.h"
 #include "telemetry/telemetry.h"
 
@@ -58,19 +57,18 @@ SpmspvEngine::SpmspvEngine(const codec::CompressedMatrix& cm,
       source_(source_or_resident(cm, std::move(source))),
       cfg_(cfg) {
   bands_ = make_row_bands(cm_->blocking, cfg_.blocks_per_band);
+  const std::size_t workers = resolve_workers(cfg_.threads, bands_.size());
   in_frontier_.assign(static_cast<std::size_t>(cm_->cols), 0);
   x_dense_.assign(static_cast<std::size_t>(cm_->cols), 0.0);
   band_stats_.resize(bands_.size());
-  std::size_t workers = cfg_.threads;
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers = std::min(workers, std::max<std::size_t>(1, bands_.size()));
+  band_order_.resize(bands_.size());
+  std::iota(band_order_.begin(), band_order_.end(), 0u);
   for (std::size_t i = 0; i < workers; ++i) {
     scratch_.push_back(std::make_unique<WorkerScratch>(cm, *source_));
   }
   survey_blocks();
   reserve_for_bands(*source_, bands_, 2 * workers);
+  runner_ = std::make_unique<BandRunner>(workers, bands_.size());
 }
 
 // One streaming pass over every block to record column spans and
@@ -209,23 +207,18 @@ void SpmspvEngine::multiply(const SparseVector& x, std::span<double> y) {
   SpmspvStats totals;
   totals.frontier_nnz = x.indices.size();
   if (!bands_.empty() && !x.indices.empty()) {
+    const auto body = [&](std::size_t band_id, std::size_t worker) {
+      process_band(band_id, *scratch_[worker], y);
+    };
+    const auto prefetch = [this](std::size_t t, std::size_t) {
+      // Hint exactly the band's first lease.
+      const BlockRun lease = needed_run(bands_[t], bands_[t].first_block);
+      if (lease.count > 0) source_->prefetch(lease.first, lease.count);
+    };
     try {
       SourceRun run(*source_);
-      run_band_tasks(
-          scratch_.size(), bands_.size(),
-          [&](std::size_t band_id, std::size_t worker) {
-            process_band(band_id, *scratch_[worker], y);
-          },
-          source_->out_of_core()
-              ? std::function<void(std::size_t)>([&](std::size_t t) {
-                  // Hint exactly the band's first lease.
-                  const BlockRun lease =
-                      needed_run(bands_[t], bands_[t].first_block);
-                  if (lease.count > 0) {
-                    source_->prefetch(lease.first, lease.count);
-                  }
-                })
-              : std::function<void(std::size_t)>());
+      runner_->run(band_order_, runner_->workers(), body,
+                   source_->out_of_core() ? TaskFn(prefetch) : TaskFn());
     } catch (...) {
       unscatter();
       throw;

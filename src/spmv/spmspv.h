@@ -34,8 +34,11 @@
 // tests/spmv/test_spmspv.cc).
 //
 // Parallelism: row-aligned bands (make_row_bands) fanned out over the
-// work-stealing band runner; bands own disjoint y rows, so parallel ≡
-// serial bitwise.
+// engine's BandRunner (spmv/band_runner.h), the work-stealing runner the
+// streaming executor also uses. The engine sizes it once, and its
+// threads start on the first threaded multiply and serve every multiply
+// after it (a BFS traversal runs hundreds). Bands own disjoint y rows,
+// so parallel ≡ serial bitwise.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +49,7 @@
 #include "codec/container_source.h"
 #include "codec/pipeline.h"
 #include "sparse/formats.h"
+#include "spmv/band_runner.h"
 #include "spmv/streaming_executor.h"  // RowBand / make_row_bands
 
 namespace recode::spmv {
@@ -59,8 +63,9 @@ struct SparseVector {
 };
 
 struct SpmspvConfig {
-  // Worker threads for the band fan-out (0 = hardware_concurrency,
-  // 1 = inline serial on the calling thread).
+  // Worker threads for the band fan-out (0 = one per hardware thread,
+  // 1 = inline serial on the calling thread; capped at the band count,
+  // and more than kMaxWorkers throws recode::Error at construction).
   std::size_t threads = 1;
   std::size_t blocks_per_band = 8;
 };
@@ -158,10 +163,13 @@ class SpmspvEngine {
   std::vector<sparse::index_t> frontier_cols_;    // sorted, current multiply
   // Per-band outputs of the current multiply (worker-disjoint).
   std::vector<SpmspvStats> band_stats_;
+  std::vector<std::uint32_t> band_order_;  // 0..bands-1, the seed order
   std::vector<std::unique_ptr<WorkerScratch>> scratch_;
   SpmspvStats last_stats_;
   std::uint64_t total_blocks_decoded_ = 0;
   std::uint64_t total_blocks_skipped_ = 0;
+  // Last: destroyed (threads joined) before the state its tasks use.
+  std::unique_ptr<BandRunner> runner_;
 };
 
 }  // namespace recode::spmv

@@ -1,9 +1,6 @@
 #include "spmv/streaming_executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <string>
-#include <thread>
 
 #include "common/error.h"
 #include "common/timer.h"
@@ -38,9 +35,6 @@ struct StreamTelemetry {
   telemetry::Counter& steal_count;
   telemetry::Counter& steal_attempts;
   telemetry::Counter& local_pops;
-  telemetry::Counter& injector_pops;
-  telemetry::Histogram& deque_occupancy;    // own-deque depth per acquire
-  telemetry::Histogram& acquire_wait_us;    // scheduler spin per task
 
   static StreamTelemetry& get() {
     auto& reg = telemetry::MetricsRegistry::global();
@@ -65,9 +59,6 @@ struct StreamTelemetry {
         reg.counter("spmv.steal.count"),
         reg.counter("spmv.steal.attempts"),
         reg.counter("spmv.steal.local_pops"),
-        reg.counter("spmv.steal.injector_pops"),
-        reg.histogram("spmv.sched.deque_occupancy"),
-        reg.histogram("spmv.sched.acquire_wait_us"),
     };
     return *t;
   }
@@ -182,7 +173,7 @@ std::vector<RowBand> split_row_bands(const sparse::Blocking& blocking,
 // Per-worker persistent state: the decode context (arenas of monotonic
 // capacity — the zero-steady-state-allocation reservoir — and the lazily
 // built UDP lane simulator) and this worker's stats slot (written only by
-// the owning worker during a run, read by the caller after the gate).
+// the owning worker during a run, read by the caller after the run).
 struct StreamingExecutor::WorkerState {
   WorkerState(const codec::CompressedMatrix& cm,
               codec::ContainerSource& source, DecodeEngine engine)
@@ -196,32 +187,16 @@ struct StreamingExecutor::WorkerState {
   // Per-run stats slot, reset by the caller before each run.
   double decode_busy = 0.0;
   double compute_busy = 0.0;
-  double decode_blocked = 0.0;
   std::uint64_t hit_blocks = 0;
   std::size_t hit_bands = 0;
   std::size_t miss_bands = 0;
-  std::exception_ptr error;
 
   void reset_slot() {
-    decode_busy = compute_busy = decode_blocked = 0.0;
+    decode_busy = compute_busy = 0.0;
     reader.counts = {};
     hit_blocks = 0;
     hit_bands = miss_bands = 0;
-    error = nullptr;
   }
-};
-
-// Per-run state: trivially reusable fields, reset by every multiply
-// without allocating.
-struct StreamingExecutor::Run {
-  std::span<const double> x;
-  std::span<double> y;
-  int k = 1;
-  // This run's seed order (serpentine: alternates per run), and the
-  // inline path's out-of-core prefetch cursor: the next position in
-  // `order` to hint to the source.
-  const std::vector<std::uint32_t>* order = nullptr;
-  std::atomic<std::size_t> prefetch_cursor{0};
 };
 
 StreamingExecutor::StreamingExecutor(const codec::CompressedMatrix& cm,
@@ -235,22 +210,27 @@ StreamingExecutor::StreamingExecutor(
       source_(source_or_resident(cm, std::move(source))),
       out_of_core_(source_->out_of_core()),
       config_(config) {
-  if (config_.compute_threads == 0) config_.compute_threads = 1;
+  // The pool is decode_threads + compute_threads workers. Each count is
+  // checked against kMaxWorkers before the sum, so the sum cannot wrap.
+  config_.compute_threads =
+      resolve_workers(std::max<std::size_t>(1, config_.compute_threads));
   if (config_.decode_threads == 0) {
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t hw = resolve_workers(0);
     config_.decode_threads =
         hw > config_.compute_threads ? hw - config_.compute_threads : 1;
+  } else {
+    config_.decode_threads = resolve_workers(config_.decode_threads);
   }
+  const std::size_t requested =
+      config_.decode_threads + config_.compute_threads;
   if (config_.blocks_per_band == 0) config_.blocks_per_band = 1;
-  workers_ = config_.decode_threads + config_.compute_threads;
 
   std::size_t threshold = config_.split_blocks_threshold;
   if (threshold == 0) {
     // Auto: enough tasks for stealing to balance (>= 4 per worker) but
     // never finer than the configured band granularity.
     const std::size_t total = cm_->blocking.blocks.size();
-    const std::size_t want_tasks = workers_ * 4;
+    const std::size_t want_tasks = requested * 4;
     threshold = std::max(config_.blocks_per_band,
                          (total + want_tasks - 1) / std::max<std::size_t>(
                                                         1, want_tasks));
@@ -264,21 +244,19 @@ StreamingExecutor::StreamingExecutor(
     task_ids_fwd_[i] = static_cast<std::uint32_t>(i);
   }
   task_ids_rev_.assign(task_ids_fwd_.rbegin(), task_ids_fwd_.rend());
+  workers_ = resolve_workers(requested, bands_.size());
 
   states_.reserve(workers_);
   for (std::size_t w = 0; w < workers_; ++w) {
     states_.push_back(
         std::make_unique<WorkerState>(cm, *source_, config_.engine));
   }
-  scheduler_ = std::make_unique<WorkStealingScheduler<std::uint32_t>>(
-      workers_, bands_.size() + 1);
-  gate_ = std::make_unique<WorkerGate>(0);
-  run_ = std::make_unique<Run>();
   if (config_.cache_budget_bytes > 0) {
     cache_ = std::make_unique<BandCache>(config_.cache_budget_bytes);
   }
-  // team_ is built lazily on the first non-inline run so executors that
-  // only ever take the inline path never spawn a thread.
+  // Threads start on the first threaded run, so executors that only
+  // ever take the inline path never spawn one.
+  runner_ = std::make_unique<BandRunner>(workers_, bands_.size());
 
   // Pre-provision the source's window pool for this executor's lease
   // discipline — each worker holds at most two staged ranges (the band
@@ -290,35 +268,9 @@ StreamingExecutor::StreamingExecutor(
 
 StreamingExecutor::~StreamingExecutor() = default;
 
-// Inline-run prefetch: advance a cursor over the run order and stage
-// the next band that will actually decode. Only the single-threaded
-// inline path uses this — there, execution order IS the run order, so
-// cursor-ahead prefetching lands exactly one band early. Threaded
-// workers must not use it: work-stealing pop order diverges from run
-// order, stale windows pile up against the in-flight byte budget, and
-// once the budget is exhausted by windows only blocked workers would
-// consume, every acquire() deadlocks. They use prefetch_band() on the
-// task they just popped instead (see fused_worker).
-void StreamingExecutor::prefetch_next_band() {
-  const auto& order = *run_->order;
-  for (;;) {
-    const std::size_t i =
-        run_->prefetch_cursor.fetch_add(1, std::memory_order_relaxed);
-    if (i >= order.size()) return;
-    const std::uint32_t task = order[i];
-    // Cache-served bands never touch storage; skip to the next band
-    // that will actually decode. contains() is non-perturbing, so the
-    // probe doesn't spend the band's scan protection. A band evicted
-    // between this probe and its lookup just reads synchronously.
-    if (cache_ && cache_->contains(task)) continue;
-    const RowBand& band = bands_[task];
-    source_->prefetch(band.first_block, band.block_count);
-    return;
-  }
-}
-
-// Worker-lookahead prefetch: stage one specific band's compressed
-// extent. Never blocks — a full window budget or queue drops the hint
+// Lookahead prefetch: stage the compressed extent of the band the
+// runner hands this worker next (or, inline, the next band in run
+// order). Never blocks — a full window budget or queue drops the hint
 // and the band's acquire() falls back to a synchronous read. Skips
 // cache-resident bands (contains() is non-perturbing, so the probe
 // doesn't spend scan protection; a band evicted between this probe and
@@ -330,7 +282,7 @@ void StreamingExecutor::prefetch_band(std::uint32_t task) {
 }
 
 std::size_t StreamingExecutor::scheduler_queued() const {
-  return scheduler_ ? scheduler_->queued() : 0;
+  return runner_->queued();
 }
 
 // One task: decode every block and accumulate it immediately on
@@ -419,92 +371,6 @@ void StreamingExecutor::execute_task_fused(WorkerState& ws, std::size_t task,
   if (pending) cache_->insert(task, std::move(pending));
 }
 
-void StreamingExecutor::fused_worker(std::size_t worker) {
-  WorkerState& ws = *states_[worker];
-  StreamTelemetry& telem = StreamTelemetry::get();
-  if (telemetry::Tracer::global().enabled()) {
-    telemetry::Tracer::global().set_thread_name("fused-" +
-                                                std::to_string(worker));
-  }
-  try {
-    // Out-of-core lookahead: pop the NEXT task (one non-blocking sweep)
-    // and prefetch its band before executing the task in hand, so every
-    // prefetched window is consumed next by the worker that staged it
-    // and in-flight compressed bytes stay bounded by ~one window per
-    // worker. The blocking acquire() is only ever entered with no task
-    // in hand — it spins until remaining_ hits zero, so re-entering it
-    // while holding an uncompleted task would deadlock the last worker.
-    std::uint32_t task = 0;
-    bool have_task = false;
-    for (;;) {
-      std::uint32_t next = 0;
-      bool got;
-      if (have_task) {
-        got = scheduler_->try_acquire(worker, next);
-        if (got) {
-          telem.deque_occupancy.observe(
-              static_cast<double>(scheduler_->deque_size(worker)));
-          prefetch_band(next);
-        }
-        execute_task_fused(ws, task, run_->x, run_->y, run_->k);
-        trace_ledger_counters();
-        scheduler_->complete();
-        have_task = false;
-        if (got) {
-          task = next;
-          have_task = true;
-        }
-        continue;
-      }
-      {
-        telemetry::WaitTimer wait(telem.acquire_wait_us, &ws.decode_blocked);
-        got = scheduler_->acquire(worker, next);
-      }
-      if (!got) break;
-      telem.deque_occupancy.observe(
-          static_cast<double>(scheduler_->deque_size(worker)));
-      if (out_of_core_) {
-        prefetch_band(next);
-        task = next;
-        have_task = true;
-      } else {
-        execute_task_fused(ws, next, run_->x, run_->y, run_->k);
-        trace_ledger_counters();
-        scheduler_->complete();
-      }
-    }
-  } catch (...) {
-    ws.error = std::current_exception();
-    scheduler_->cancel();
-    // The faulting worker never re-enters acquire(), so drain its own
-    // deque here — the "all deques drained after an error" contract.
-    std::uint32_t discard;
-    scheduler_->acquire(worker, discard);
-  }
-  if (ws.error) {
-    gate_->arrive_with_error(ws.error);
-  } else {
-    gate_->arrive();
-  }
-}
-
-void StreamingExecutor::worker_trampoline(void* self, std::size_t worker) {
-  static_cast<StreamingExecutor*>(self)->fused_worker(worker);
-}
-
-// Small-matrix path: the whole fused loop on the calling thread, no
-// scheduler, no handoff. Exceptions propagate directly.
-void StreamingExecutor::run_inline(std::span<const double> x,
-                                   std::span<double> y, int k) {
-  WorkerState& ws = *states_[0];
-  for (const std::uint32_t task : *run_->order) {
-    // Keep the out-of-core pipeline one band ahead of the decode (the
-    // cursor was primed two deep by multiply_batch).
-    if (out_of_core_) prefetch_next_band();
-    execute_task_fused(ws, task, x, y, k);
-  }
-}
-
 void StreamingExecutor::multiply(std::span<const double> x,
                                  std::span<double> y) {
   multiply_batch(x, y, 1);
@@ -524,6 +390,37 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   stats_.split_bands = split_bands_;
   if (bands_.empty()) return;
 
+  stats_.inline_run =
+      workers_ == 1 || bands_.size() == 1 ||
+      cm_->blocking.blocks.size() <= config_.fused_inline_blocks;
+  stats_.workers = stats_.inline_run ? 1 : workers_;
+  const std::vector<std::uint32_t>& order = begin_run();
+
+  RECODE_TRACE_SPAN_ARG("spmv", "multiply_batch", "rhs", k);
+  Timer wall;
+  const auto body = [&](std::size_t task, std::size_t worker) {
+    execute_task_fused(*states_[worker], task, x, y, k);
+    trace_ledger_counters();
+  };
+  // A resident source's prefetch would do nothing, so resident runs
+  // pass no lookahead and threaded workers pop one task at a time.
+  const auto prefetch = [this](std::size_t task, std::size_t) {
+    prefetch_band(static_cast<std::uint32_t>(task));
+  };
+  BandRunStats run;
+  try {
+    run = runner_->run(order, stats_.workers, body,
+                       out_of_core_ ? TaskFn(prefetch) : TaskFn());
+  } catch (...) {
+    finish_run(wall.seconds(), run);
+    throw;
+  }
+  finish_run(wall.seconds(), run);
+}
+
+// Resets the per-worker stat slots and opens the cache's run window;
+// returns this run's seed order.
+const std::vector<std::uint32_t>& StreamingExecutor::begin_run() {
   for (auto& ws : states_) ws->reset_slot();
   // Run boundary for the cache's scan protection: bands resident now
   // are exactly the ones this run is about to want — shield them from
@@ -531,70 +428,15 @@ void StreamingExecutor::multiply_batch(std::span<const double> x,
   // scheduler reaches them in.
   if (cache_) cache_->begin_run();
   // Serpentine scan: see the task_ids_ member comment.
-  const bool reverse = (run_counter_++ & 1) == 1;
-
-  const bool inline_run =
-      workers_ == 1 || bands_.size() == 1 ||
-      cm_->blocking.blocks.size() <= config_.fused_inline_blocks;
-
-  // Prime the inline run's out-of-core prefetch pipeline two bands
-  // ahead; run_inline keeps it that deep by advancing the cursor per
-  // task. Threaded runs don't prime — each worker prefetches the band
-  // of the task it just popped (pop-order lookahead), which keeps
-  // in-flight compressed bytes bounded by ~one window per worker.
-  run_->order = reverse ? &task_ids_rev_ : &task_ids_fwd_;
-  run_->prefetch_cursor.store(0, std::memory_order_relaxed);
-  if (out_of_core_ && inline_run) {
-    for (std::size_t i = 0; i < 2; ++i) prefetch_next_band();
-  }
-
-  RECODE_TRACE_SPAN_ARG("spmv", "multiply_batch", "rhs", k);
-  Timer wall;
-
-  if (inline_run) {
-    stats_.inline_run = true;
-    stats_.workers = 1;
-    try {
-      run_inline(x, y, k);
-    } catch (...) {
-      finish_run(wall.seconds());
-      throw;
-    }
-    finish_run(wall.seconds());
-    return;
-  }
-
-  run_->x = x;
-  run_->y = y;
-  run_->k = k;
-  stats_.workers = workers_;
-
-  scheduler_->reset();
-  scheduler_->seed(*run_->order);
-  gate_->reset(workers_);
-
-  if (!team_) team_ = std::make_unique<WorkerTeam>(workers_);
-  team_->run(&StreamingExecutor::worker_trampoline, this);
-
-  // Blocks until every worker has drained, then rethrows the first
-  // error on this (the caller's) thread. team_->wait() afterwards parks
-  // the threads so the next run() is legal.
-  try {
-    gate_->wait();
-  } catch (...) {
-    team_->wait();
-    finish_run(wall.seconds());
-    throw;
-  }
-  team_->wait();
-  finish_run(wall.seconds());
+  return (run_counter_++ & 1) == 1 ? task_ids_rev_ : task_ids_fwd_;
 }
 
-// Aggregates the per-worker stats slots and the scheduler counters into
+// Aggregates the per-worker stats slots and the runner's counters into
 // last_stats(), publishes telemetry, and bumps the lifetime totals. Runs
 // on the caller thread after every multiply, including failed ones
-// (partial progress still counts).
-void StreamingExecutor::finish_run(double wall_seconds) {
+// (partial progress still counts; a failed run reports no steals).
+void StreamingExecutor::finish_run(double wall_seconds,
+                                   const BandRunStats& run) {
   // Run boundary for the source: reclaims prefetched-but-unconsumed
   // windows (a cancelled run leaves some behind; a clean run none).
   source_->end_run();
@@ -603,7 +445,6 @@ void StreamingExecutor::finish_run(double wall_seconds) {
   for (const auto& ws : states_) {
     stats_.decode_busy_seconds += ws->decode_busy;
     stats_.compute_busy_seconds += ws->compute_busy;
-    stats_.decode_blocked_seconds += ws->decode_blocked;
     stats_.blocks_decoded += ws->reader.counts.blocks;
     stats_.compressed_bytes += ws->reader.counts.bytes;
     stats_.udp_cycles += ws->reader.counts.udp_cycles;
@@ -611,15 +452,14 @@ void StreamingExecutor::finish_run(double wall_seconds) {
     stats_.cache_miss_bands += ws->miss_bands;
     stats_.cache_hit_blocks += ws->hit_blocks;
   }
-  if (!stats_.inline_run) {
-    const StealStats& ss = scheduler_->stats();
-    stats_.steals = ss.steals.load(std::memory_order_relaxed);
-    stats_.steal_attempts = ss.steal_attempts.load(std::memory_order_relaxed);
-    telem.steal_count.add(stats_.steals);
-    telem.steal_attempts.add(stats_.steal_attempts);
-    telem.local_pops.add(ss.local_pops.load(std::memory_order_relaxed));
-    telem.injector_pops.add(ss.injector_pops.load(std::memory_order_relaxed));
+  for (std::size_t w = 0; w < workers_; ++w) {
+    stats_.decode_blocked_seconds += runner_->wait_seconds(w);
   }
+  stats_.steals = run.steals;
+  stats_.steal_attempts = run.steal_attempts;
+  telem.steal_count.add(run.steals);
+  telem.steal_attempts.add(run.steal_attempts);
+  telem.local_pops.add(run.local_pops);
 
   telem.runs.add(1);
   (stats_.inline_run ? telem.inline_runs : telem.fused_runs).add(1);

@@ -1,21 +1,19 @@
 // Work-stealing parallel decode->SpMV execution engine (the paper's §V-B
 // co-scheduling, host-side). The matrix is cut into row-aligned *tasks*
-// (sub-bands); a Chase-Lev-style scheduler (common/work_stealing.h) hands
-// tasks to workers, and an idle worker steals from a loaded one instead
-// of blocking on a fixed queue — the rearchitecture that removed the
-// capacity-2 per-band queues which made the PR-2 pipeline lose to serial
-// at every thread count (BENCH_streaming.json, overlap efficiency 0.11).
+// (sub-bands) and fanned out over the executor's BandRunner
+// (spmv/band_runner.h), the work-stealing runner SpMSpV and SpGEMM also
+// use: an idle worker steals from a loaded one instead of blocking on a
+// fixed queue — the rearchitecture that removed the capacity-2 per-band
+// queues which made the PR-2 pipeline lose to serial at every thread
+// count (BENCH_streaming.json, overlap efficiency 0.11).
 //
-// Two execution paths, one task body:
-//
-//  * threaded (fused work-stealing): every worker pops a task, decodes
-//    its blocks and accumulates each one immediately, back to back. Host
-//    software decode is most of the work, so parallelizing whole tasks
-//    across workers wins linearly where pipelining decode against the
-//    accumulate stage could win only the accumulate share.
-//  * inline: small matrices (or one worker, or a single task) skip the
-//    scheduler and run the same fused loop on the calling thread, with no
-//    thread handoff at all.
+// One task body, fused: a worker decodes each of its task's blocks and
+// accumulates it immediately, back to back. Host software decode is most
+// of the work, so parallelizing whole tasks across workers wins linearly
+// where pipelining decode against the accumulate stage could win only
+// the accumulate share. Small matrices (or one worker, or a single task)
+// take the runner's inline path: the same body on the calling thread,
+// with no thread handoff at all.
 //
 // Determinism contract: tasks are maximal runs of consecutive blocks cut
 // only where a block boundary coincides with a row boundary, so tasks own
@@ -39,9 +37,10 @@
 // is rethrown on the calling thread. The executor stays usable
 // afterwards.
 //
-// Steady-state allocation: the scheduler, worker team, gate and arenas
-// are executor-owned and reused run after run — a software multiply on a
-// warmed executor performs zero heap allocations, threaded or inline,
+// Steady-state allocation: the runner (scheduler and thread team) and
+// the arenas are executor-owned and reused run after run — a software
+// multiply on a warmed executor performs zero heap allocations, threaded
+// or inline,
 // cold or served from a warm band cache (asserted by the operator-new
 // counting tests in tests/spmv/test_streaming_stress.cc).
 //
@@ -58,9 +57,8 @@
 #include <vector>
 
 #include "codec/pipeline.h"
-#include "common/thread_pool.h"
-#include "common/work_stealing.h"
 #include "spmv/band_cache.h"
+#include "spmv/band_runner.h"
 #include "spmv/recoded.h"
 
 namespace recode::spmv {
@@ -69,8 +67,10 @@ struct StreamingConfig {
   // The pool runs decode_threads + compute_threads workers, and every
   // worker both decodes and accumulates: the two knobs no longer set a
   // role split, they only add up to the pool size (kept as two fields
-  // for existing callers). decode_threads 0 = max(1,
-  // hardware_concurrency - compute_threads); compute_threads 0 = 1.
+  // for existing callers). decode_threads 0 = max(1, hardware threads -
+  // compute_threads); compute_threads 0 = 1.
+  // Each field, and their sum, is at most kMaxWorkers (recode::Error at
+  // construction otherwise); the pool is capped at the task count.
   std::size_t decode_threads = 0;
   std::size_t compute_threads = 1;
   // Band granularity target: bands are grown to at least this many blocks
@@ -148,16 +148,15 @@ class StreamingExecutor {
   // Compressed streams come from `source` (cm may be header-only); null
   // or resident sources read cm.blocks. Every task leases its band from
   // the source and decodes it through a BlockReader, for either decode
-  // engine. An out-of-core source also reads at least one band ahead of
-  // decode: threaded workers pop the next task from the scheduler
-  // before decoding the one in hand and prefetch its band (pop-order
-  // lookahead, so in-flight compressed bytes stay bounded by ~one
-  // window per worker no matter how stealing reorders the run); the
-  // single-threaded inline path advances a cursor over the run order,
-  // primed two bands deep. Bands the BandCache serves are skipped
-  // (warm runs re-stream only what the cache couldn't pin). A resident
-  // source's prefetch would do nothing, so resident runs skip the
-  // lookahead and threaded workers pop one task at a time.
+  // engine. An out-of-core source also reads one band ahead of decode
+  // through the runner's lookahead: a threaded worker pops its next task
+  // before decoding the one in hand and prefetches that band (pop-order
+  // lookahead, so in-flight compressed bytes stay bounded by ~one window
+  // per worker no matter how stealing reorders the run); the inline path
+  // prefetches the next band in run order. Bands the BandCache serves
+  // are not prefetched (warm runs re-stream only what the cache couldn't
+  // pin). A resident source's prefetch would do nothing, so resident
+  // runs skip the lookahead and threaded workers pop one task at a time.
   StreamingExecutor(const codec::CompressedMatrix& cm,
                     std::shared_ptr<codec::ContainerSource> source,
                     StreamingConfig config = {});
@@ -205,23 +204,16 @@ class StreamingExecutor {
 
  private:
   struct WorkerState;  // per-worker BlockReader and stat slot
-  struct Run;          // per-call state, persistent and reset per multiply
 
-  // Inline-path prefetch: advances the run-order cursor one task
-  // (skipping cache-served bands) and hints its band to the source.
-  // Only run_inline uses it — there execution order is the run order.
-  void prefetch_next_band();
-  // Worker-path prefetch: hints one specific band (the task the worker
-  // just popped) to the source; skips cache-served bands.
+  // Lookahead prefetch: hints one band (the task a worker runs next) to
+  // the source; skips cache-served bands.
   void prefetch_band(std::uint32_t task);
 
-  void fused_worker(std::size_t worker);
-  void run_inline(std::span<const double> x, std::span<double> y, int k);
   void execute_task_fused(WorkerState& ws, std::size_t task,
                           std::span<const double> x, std::span<double> y,
                           int k);
-  void finish_run(double wall_seconds);
-  static void worker_trampoline(void* self, std::size_t worker);
+  const std::vector<std::uint32_t>& begin_run();
+  void finish_run(double wall_seconds, const BandRunStats& run);
 
   const codec::CompressedMatrix* cm_;
   std::shared_ptr<codec::ContainerSource> source_;  // never null
@@ -242,10 +234,6 @@ class StreamingExecutor {
   std::vector<std::uint32_t> task_ids_rev_;
   std::uint64_t run_counter_ = 0;
   std::vector<std::unique_ptr<WorkerState>> states_;
-  std::unique_ptr<WorkStealingScheduler<std::uint32_t>> scheduler_;
-  std::unique_ptr<WorkerTeam> team_;
-  std::unique_ptr<WorkerGate> gate_;
-  std::unique_ptr<Run> run_;          // persistent, reset per multiply
   std::unique_ptr<BandCache> cache_;  // null when cache_budget_bytes == 0
   OverlapStats stats_;
   std::uint64_t total_blocks_decoded_ = 0;
@@ -254,6 +242,9 @@ class StreamingExecutor {
   // adds only its delta to the process-wide insert/evict counters.
   std::uint64_t cache_inserts_seen_ = 0;
   std::uint64_t cache_evictions_seen_ = 0;
+  // Last: its threads run tasks against the members above, so it is
+  // destroyed (and its threads joined) first.
+  std::unique_ptr<BandRunner> runner_;
 };
 
 }  // namespace recode::spmv

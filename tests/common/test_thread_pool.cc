@@ -118,41 +118,6 @@ TEST(ThreadPool, ParallelForUsableAfterException) {
   }
 }
 
-// --- WorkerGate ---------------------------------------------------------
-
-TEST(WorkerGate, WaitsForAllWorkersThenRethrowsFirstError) {
-  WorkerGate gate(3);
-  std::atomic<int> arrived{0};
-  std::vector<std::thread> workers;
-  workers.emplace_back([&] {
-    arrived.fetch_add(1);
-    gate.arrive();
-  });
-  workers.emplace_back([&] {
-    arrived.fetch_add(1);
-    gate.arrive_with_error(
-        std::make_exception_ptr(std::runtime_error("first")));
-  });
-  workers.emplace_back([&] {
-    arrived.fetch_add(1);
-    gate.arrive();
-  });
-  EXPECT_THROW(gate.wait(), std::runtime_error);
-  EXPECT_TRUE(gate.failed());
-  EXPECT_EQ(arrived.load(), 3);
-  for (auto& w : workers) w.join();
-}
-
-TEST(WorkerGate, CleanShutdownDoesNotThrow) {
-  WorkerGate gate(2);
-  std::thread a([&] { gate.arrive(); });
-  std::thread b([&] { gate.arrive(); });
-  gate.wait();
-  EXPECT_FALSE(gate.failed());
-  a.join();
-  b.join();
-}
-
 TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
   ThreadPool pool(2);
   pool.wait_idle();  // must not hang

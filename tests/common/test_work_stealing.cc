@@ -1,9 +1,9 @@
 // Scheduler-grade battery for the work-stealing primitives under the
 // streaming executor (common/work_stealing.h): deque owner/thief
-// semantics (LIFO bottom, FIFO top), capacity and overflow behavior,
-// empty-steal and last-element races, cancel/drain guarantees, the
-// outstanding-task protocol, and a seeded multi-thread churn test that
-// hammers concurrent push/pop/steal and checks exactly-once delivery.
+// semantics (LIFO bottom, FIFO top), capacity and the seed-fits
+// contract, empty-steal and last-element races, cancel/drain guarantees,
+// the outstanding-task protocol, and a seeded multi-thread churn test
+// that hammers concurrent pop/steal and checks exactly-once delivery.
 // Runs under the `concurrency` ctest label, so the sanitize-concurrency
 // and tsan-concurrency presets repeat it 3x — the deque's seq_cst
 // formulation exists precisely so TSan's verdict here is authoritative.
@@ -181,34 +181,41 @@ TEST(WorkStealingScheduler, SeedDistributesAndAcquireDrainsEverything) {
   EXPECT_GT(sched.stats().steals.load(), 0u);
 }
 
-TEST(WorkStealingScheduler, InjectOverflowAndInjectorPops) {
-  // Deque capacity 1 forces nearly everything through the injector.
-  WorkStealingScheduler<std::uint32_t> sched(2, 1);
-  std::vector<std::uint32_t> tasks(6);
+// Seeding over the first `active` workers leaves the other deques
+// empty; an idle worker outside them still steals its way through.
+TEST(WorkStealingScheduler, SeedOverActiveWorkersLeavesTheRestEmpty) {
+  WorkStealingScheduler<std::uint32_t> sched(4, 8);
+  std::vector<std::uint32_t> tasks(12);
   std::iota(tasks.begin(), tasks.end(), 0);
-  sched.seed(tasks);
-  sched.inject(100);
-  sched.inject(101);
-  EXPECT_EQ(sched.remaining(), 8u);
-
-  std::vector<bool> seen(102, false);
+  sched.seed(tasks, 2);
+  EXPECT_EQ(sched.deque_size(0), 6u);
+  EXPECT_EQ(sched.deque_size(1), 6u);
+  EXPECT_EQ(sched.deque_size(2), 0u);
+  EXPECT_EQ(sched.deque_size(3), 0u);
   std::uint32_t task;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(sched.acquire(1, task));
-    EXPECT_FALSE(seen[task]);
-    seen[task] = true;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    ASSERT_TRUE(sched.acquire(3, task));
     sched.complete();
   }
-  EXPECT_FALSE(sched.acquire(1, task));
-  EXPECT_GT(sched.stats().injector_pops.load(), 0u);
+  EXPECT_FALSE(sched.acquire(3, task));
+  EXPECT_EQ(sched.stats().steals.load(), tasks.size());
 }
 
-TEST(WorkStealingScheduler, CancelDrainsOwnDequeAndClearsInjector) {
+// There is no overflow queue: a seed whose round-robin share exceeds a
+// deque's capacity is a contract violation, caught before any push.
+TEST(WorkStealingSchedulerDeathTest, SeedPastDequeCapacityAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  WorkStealingScheduler<std::uint32_t> sched(2, 4);
+  std::vector<std::uint32_t> tasks(9);  // 5 for deque 0 > capacity 4
+  std::iota(tasks.begin(), tasks.end(), 0);
+  EXPECT_DEATH(sched.seed(tasks), "deque capacity");
+}
+
+TEST(WorkStealingScheduler, CancelDrainsOwnDeque) {
   WorkStealingScheduler<std::uint32_t> sched(2, 64);
   std::vector<std::uint32_t> tasks(10);
   std::iota(tasks.begin(), tasks.end(), 0);
   sched.seed(tasks);
-  sched.inject(50);
   EXPECT_GT(sched.queued(), 0u);
 
   sched.cancel();
@@ -228,24 +235,20 @@ TEST(WorkStealingScheduler, CancelDrainsOwnDequeAndClearsInjector) {
 }
 
 // Seeded multi-thread churn: N workers acquire/complete a large task
-// set, and low-numbered tasks inject a follow-up task from *within*
-// their execution (inject-before-complete, the dynamic-splitting
-// pattern — the only injection the protocol allows once a run is
-// draining). Every task must execute exactly once and the scheduler
-// must end drained. The accounting identity local_pops + injector_pops
-// + steals == tasks executed is the same one the telemetry schema test
-// asserts on the executor.
+// set. Every task must execute exactly once and the scheduler must end
+// drained. The accounting identity local_pops + steals == tasks
+// executed is the same one the telemetry schema test asserts on the
+// executor.
 TEST(WorkStealingScheduler, SeededChurnDeliversEveryTaskExactlyOnce) {
   const std::uint64_t seed = test_seed(1602);
   constexpr std::size_t kWorkers = 4;
   constexpr std::uint32_t kSeeded = 4000;
-  constexpr std::uint32_t kInjected = 1000;  // children of tasks 0..999
-  WorkStealingScheduler<std::uint32_t> sched(kWorkers, 32);
+  WorkStealingScheduler<std::uint32_t> sched(kWorkers, kSeeded / kWorkers);
   std::vector<std::uint32_t> tasks(kSeeded);
   std::iota(tasks.begin(), tasks.end(), 0);
   sched.seed(tasks);
 
-  std::vector<std::atomic<std::uint32_t>> executed(kSeeded + kInjected);
+  std::vector<std::atomic<std::uint32_t>> executed(kSeeded);
   std::atomic<std::uint64_t> total{0};
 
   std::vector<std::thread> workers;
@@ -257,10 +260,6 @@ TEST(WorkStealingScheduler, SeededChurnDeliversEveryTaskExactlyOnce) {
       while (sched.acquire(w, task)) {
         executed[task].fetch_add(1, std::memory_order_relaxed);
         total.fetch_add(1, std::memory_order_relaxed);
-        // The acquired task is still outstanding here, so remaining()
-        // cannot hit zero across this inject — the protocol's
-        // safe-injection window.
-        if (task < kInjected) sched.inject(kSeeded + task);
         // Variable task cost so deques drain at different rates and
         // stealing actually happens.
         if (prng.next_below(16) == 0) std::this_thread::yield();
@@ -270,7 +269,7 @@ TEST(WorkStealingScheduler, SeededChurnDeliversEveryTaskExactlyOnce) {
   }
   for (auto& w : workers) w.join();
 
-  EXPECT_EQ(total.load(), kSeeded + kInjected);
+  EXPECT_EQ(total.load(), kSeeded);
   for (std::size_t i = 0; i < executed.size(); ++i) {
     ASSERT_EQ(executed[i].load(), 1u)
         << "task " << i << " executed " << executed[i].load()
@@ -279,9 +278,7 @@ TEST(WorkStealingScheduler, SeededChurnDeliversEveryTaskExactlyOnce) {
   EXPECT_EQ(sched.queued(), 0u);
   EXPECT_EQ(sched.remaining(), 0u);
   const auto& st = sched.stats();
-  EXPECT_EQ(st.local_pops.load() + st.injector_pops.load() +
-                st.steals.load(),
-            kSeeded + kInjected);
+  EXPECT_EQ(st.local_pops.load() + st.steals.load(), kSeeded);
 }
 
 // Deterministic mid-run cancel: drain part of the task set, cancel, and
@@ -315,7 +312,7 @@ TEST(WorkStealingScheduler, CancelMidRunLeavesAllDequesDrained) {
 TEST(WorkStealingScheduler, CancelFromWorkerDrainsUnderConcurrency) {
   const std::uint64_t seed = test_seed(1603);
   constexpr std::size_t kWorkers = 4;
-  WorkStealingScheduler<std::uint32_t> sched(kWorkers, 256);
+  WorkStealingScheduler<std::uint32_t> sched(kWorkers, 8000 / kWorkers);
   std::vector<std::uint32_t> tasks(8000);
   std::iota(tasks.begin(), tasks.end(), 0);
   sched.seed(tasks);

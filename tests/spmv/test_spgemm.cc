@@ -243,6 +243,21 @@ TEST(Spgemm, ContainerOutputMatchesCompressOfResult) {
   std::remove(path.c_str());
 }
 
+// The worker count is checked at call entry, before any band or worker
+// state exists: 4 * threads used to wrap to 0 here and divide by zero.
+TEST(Spgemm, RejectsWorkerCountsPastTheLimit) {
+  const std::uint64_t seed = test_seed(106);
+  const Csr a = sparse::gen_banded(2000, 3, 0.8, ValueModel::kUnit, seed);
+  const Csr b = sparse::gen_banded(2000, 3, 0.8, ValueModel::kUnit, seed + 1);
+  const auto cm = codec::compress(a, PipelineConfig::udp_ds());
+  SpgemmConfig cfg;
+  cfg.blocks_per_band = 1;  // several bands, so the split path runs
+  cfg.threads = SIZE_MAX / 4 + 1;
+  EXPECT_THROW(spgemm(cm, b, cfg), recode::Error);
+  cfg.threads = SIZE_MAX;
+  EXPECT_THROW(spgemm(cm, b, cfg), recode::Error);
+}
+
 TEST(Spgemm, RejectsDimensionMismatch) {
   const std::uint64_t seed = test_seed(105);
   const Csr a = sparse::gen_banded(200, 3, 0.8, ValueModel::kUnit, seed);

@@ -242,6 +242,19 @@ TEST(Spmspv, EmptyFrontierSkipsEverything) {
   EXPECT_EQ(engine.last_stats().skip_ratio(), 1.0);
 }
 
+// The worker count is checked at construction, whatever the band count
+// would clamp it to.
+TEST(Spmspv, RejectsWorkerCountsPastTheLimit) {
+  const std::uint64_t seed = test_seed(207);
+  const Csr a = sparse::gen_banded(300, 3, 0.8, ValueModel::kUnit, seed);
+  const auto cm = codec::compress(a, PipelineConfig::udp_ds());
+  SpmspvConfig cfg;
+  cfg.threads = kMaxWorkers + 1;
+  EXPECT_THROW(SpmspvEngine(cm, cfg), recode::Error);
+  cfg.threads = SIZE_MAX;
+  EXPECT_THROW(SpmspvEngine(cm, cfg), recode::Error);
+}
+
 TEST(Spmspv, RejectsMalformedFrontiers) {
   const std::uint64_t seed = test_seed(116);
   const Csr a = sparse::gen_banded(1000, 4, 0.8, ValueModel::kRandom, seed);

@@ -1,9 +1,10 @@
 // Concurrency stress for the streaming executor's error and shutdown
 // paths: randomized worker counts and band sizes, and mid-stream
 // corruption injected with testing::CorruptionEngine. The contract under
-// test: the pipeline always drains — every worker exits, every deque and
-// the injector end empty (scheduler_queued() == 0), nothing deadlocks or
-// leaks — and the first recode::Error is rethrown on the caller's thread.
+// test: the pipeline always drains — every worker exits, every deque
+// ends empty (scheduler_queued() == 0), nothing deadlocks or leaks — and
+// the first recode::Error is rethrown on the caller's thread. Worker
+// counts past the limit are rejected at construction.
 // The warmed threaded path, cold and cache-served, and the serial
 // RecodedSpmv over its default source additionally run
 // under a global operator-new counting hook asserting the
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <utility>
 
 #include "codec/fast_decode.h"
 #include "codec/pipeline.h"
@@ -157,8 +159,8 @@ TEST(StreamingStress, CorruptionEngineInjectionNeverHangsOrCrashes) {
       } catch (const recode::Error&) {
         ++threw;
       }
-      // Error or not, the scheduler must end drained: cancel clears the
-      // injector and every worker drains its own deque on the way out.
+      // Error or not, the scheduler must end drained: every worker
+      // drains its own deque on the way out.
       EXPECT_EQ(exec.scheduler_queued(), 0u);
     }
   }
@@ -185,8 +187,8 @@ TEST(StreamingStress, UdpEngineMidStreamErrorRethrows) {
 }
 
 // Mid-stream faults against the work-stealing scheduler. The faulting
-// worker cancels the scheduler and drains its own deque; cancel clears
-// the injector; every other worker drains on its next acquire — so after
+// worker cancels the scheduler and drains its own deque; every other
+// worker drains on its next acquire — so after
 // the rethrow scheduler_queued() must be 0, and the executor must stay
 // usable (throwing again, not deadlocking).
 TEST(StreamingStress, SchedulerDrainsAfterMidStreamFault) {
@@ -349,6 +351,32 @@ TEST(StreamingStress, WarmRecodedSpmvDefaultSourceIsAllocationFree) {
       << (after - before) << " heap allocations across 4 warmed multiplies";
   ASSERT_EQ(0, std::memcmp(y.data(), y_oracle.data(),
                            y.size() * sizeof(double)));
+}
+
+// Worker counts are checked at construction, before any worker state
+// exists. decode_threads + compute_threads used to wrap (to 0 here), and
+// a multiply then indexed the executor's empty worker-state vector.
+TEST(StreamingStress, RejectsWorkerCountsPastTheLimit) {
+  const std::uint64_t seed = test_seed(50);
+  const Csr a = stress_matrix(seed);
+  const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
+  const auto x = random_vector(static_cast<std::size_t>(a.cols), seed + 1);
+  std::vector<double> y(static_cast<std::size_t>(a.rows));
+  const std::pair<std::size_t, std::size_t> wrapping[] = {{SIZE_MAX, 1},
+                                                          {1, SIZE_MAX}};
+  for (const auto& [decode, compute] : wrapping) {
+    StreamingConfig cfg;
+    cfg.decode_threads = decode;
+    cfg.compute_threads = compute;
+    cfg.fused_inline_blocks = SIZE_MAX;  // any multiply stays on the caller
+    EXPECT_THROW(
+        {
+          StreamingExecutor exec(cm, cfg);
+          exec.multiply(x, y);
+        },
+        recode::Error)
+        << decode << " + " << compute;
+  }
 }
 
 TEST(StreamingStress, ParallelForPropagatesBodyExceptions) {

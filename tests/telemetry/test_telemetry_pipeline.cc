@@ -88,11 +88,10 @@ TEST(TelemetryPipeline, CountersTrackExecutorAccounting) {
   EXPECT_EQ(runs.value(), 1u);
 
   // Scheduler accounting closes: every task was acquired exactly once,
-  // via a local pop, the injector, or a steal, and the own-deque
-  // occupancy histogram saw one sample per acquisition.
+  // via a local pop or a steal, and the own-deque occupancy histogram
+  // saw one sample per acquisition.
   const std::uint64_t acquires =
       reg.counter("spmv.steal.local_pops").value() +
-      reg.counter("spmv.steal.injector_pops").value() +
       reg.counter("spmv.steal.count").value();
   EXPECT_EQ(acquires, exec.bands().size());
   EXPECT_EQ(reg.histogram("spmv.sched.deque_occupancy").count(),
@@ -162,7 +161,7 @@ TEST(TelemetryPipeline, SnapshotSchemaExportsStealSeriesNotBandQueues) {
   // The scheduler series the bench JSON exports.
   for (const char* name :
        {"spmv.steal.count", "spmv.steal.attempts", "spmv.steal.local_pops",
-        "spmv.steal.injector_pops", "spmv.stream.runs",
+        "spmv.stream.runs",
         "spmv.exec.fused_runs", "spmv.exec.inline_runs",
         "spmv.tasks.scheduled", "spmv.tasks.split_bands"}) {
     EXPECT_TRUE(has_counter(name)) << "missing counter " << name;
