@@ -61,7 +61,6 @@ int run(int argc, char** argv) {
   print_header("micro_codecs",
                "reference vs fast (word-wise, arena) codec decode rates");
   report.add_result("size_bytes", static_cast<double>(size));
-  report.add_result("fast_enabled", codec::fast::kEnabled ? 1.0 : 0.0);
 
   Table table({"stage", "bytes", "ref GB/s", "fast GB/s", "speedup"});
   const double gb = static_cast<double>(size) / 1e9;

@@ -21,12 +21,6 @@
 // with the same message on the same malformed stream. The fast-decode
 // differential suite (tests/robustness) enforces both properties,
 // including over CorruptionEngine inputs under ASan.
-//
-// Build knob: the RECODE_FAST_DECODE CMake option (default ON) defines
-// RECODE_FAST_DECODE_ENABLED on every target linking recode_codec. When
-// OFF these functions remain available (the differential tests still
-// compare them against the references), but the pipeline routes every
-// block through the reference scalar decoders instead.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +28,7 @@
 #include "codec/codec.h"
 #include "codec/huffman.h"
 
-#ifndef RECODE_FAST_DECODE_ENABLED
-#define RECODE_FAST_DECODE_ENABLED 1
-#endif
-
 namespace recode::codec::fast {
-
-// True when the pipeline decode path uses these decoders (the
-// RECODE_FAST_DECODE CMake option).
-inline constexpr bool kEnabled = RECODE_FAST_DECODE_ENABLED != 0;
 
 // Decodes a Huffman stream (varint count + MSB-first bits) into dst.
 // dst must have room for the declared count plus kArenaSlop bytes — size

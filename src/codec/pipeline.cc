@@ -20,25 +20,17 @@ namespace recode::codec {
 
 namespace {
 
-// Per-stage decode/encode attribution: bytes in/out and nanoseconds per
-// Delta/Snappy/Huffman stage, the measured counterpart of the StageSizes
-// compile-time accounting (gives measured B/nnz and time per stage).
+// Per-stage encode attribution: bytes in/out and nanoseconds per encode
+// stage, the measured counterpart of the StageSizes accounting. Decode
+// stages are recorded once, by the MovementLedger's huffman/snappy/
+// transform hops.
 struct StageMetrics {
   telemetry::Counter& ns;
   telemetry::Counter& bytes_in;
   telemetry::Counter& bytes_out;
-  // Decode-path attribution: streams decoded by the word-wise fast
-  // decoders vs the scalar references (always zero for encode stages, and
-  // for the transform stage when the transform is kNone — no decode work).
-  telemetry::Counter& fast_streams;
-  telemetry::Counter& ref_streams;
 };
 
 struct CodecTelemetry {
-  telemetry::Counter& decode_blocks;
-  StageMetrics decode_huffman;
-  StageMetrics decode_snappy;
-  StageMetrics decode_transform;
   telemetry::Counter& encode_blocks;
   StageMetrics encode_transform;
   StageMetrics encode_snappy;
@@ -48,18 +40,12 @@ struct CodecTelemetry {
     auto& reg = telemetry::MetricsRegistry::global();
     return StageMetrics{reg.counter(prefix + ".ns"),
                         reg.counter(prefix + ".bytes_in"),
-                        reg.counter(prefix + ".bytes_out"),
-                        reg.counter(prefix + ".fast_streams"),
-                        reg.counter(prefix + ".ref_streams")};
+                        reg.counter(prefix + ".bytes_out")};
   }
 
   static CodecTelemetry& get() {
     auto& reg = telemetry::MetricsRegistry::global();
     static CodecTelemetry* t = new CodecTelemetry{
-        reg.counter("codec.decode.blocks"),
-        stage("codec.decode.huffman"),
-        stage("codec.decode.snappy"),
-        stage("codec.decode.transform"),
         reg.counter("codec.encode.blocks"),
         stage("codec.encode.transform"),
         stage("codec.encode.snappy"),
@@ -384,8 +370,7 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
                                 Transform transform,
                                 const HuffmanTable* table,
                                 std::size_t expect_bytes, DecodeArena& scratch,
-                                DecodeArena& out, std::size_t out_slot,
-                                CodecTelemetry& telem) {
+                                DecodeArena& out, std::size_t out_slot) {
   const bool transform_on = transform != Transform::kNone;
   const std::uint8_t* cur = data.data();
   std::size_t cur_size = data.size();
@@ -393,10 +378,8 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
 
   if (huffman) {
     const std::size_t stage_in = cur_size;
-    telem.decode_huffman.bytes_in.add(cur_size);
     RECODE_TRACE_SPAN("codec", "huffman_decode");
-    telemetry::StageTimer t(telem.decode_huffman.ns);
-    telemetry::StageTimer lt(ledger.hop(telemetry::Hop::kHuffman).ns);
+    telemetry::StageTimer t(ledger.hop(telemetry::Hop::kHuffman).ns);
     std::size_t pos = 0;
     const std::uint64_t n = varint_read(cur, cur_size, pos);
     if (n > (static_cast<std::uint64_t>(cur_size) - pos) * 8) {
@@ -406,19 +389,9 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
                             ? scratch.slab(DecodeArena::kScratchA,
                                            static_cast<std::size_t>(n))
                             : out.slab(out_slot, static_cast<std::size_t>(n));
-    if constexpr (fast::kEnabled) {
-      fast::huffman_decode(*table, {cur, cur_size}, dst);
-      telem.decode_huffman.fast_streams.add(1);
-    } else {
-      const HuffmanCodec hc(std::shared_ptr<const HuffmanTable>(
-          std::shared_ptr<void>(), table));  // non-owning aliasing ptr
-      const Bytes decoded = hc.decode({cur, cur_size});
-      std::memcpy(dst, decoded.data(), decoded.size());
-      telem.decode_huffman.ref_streams.add(1);
-    }
+    fast::huffman_decode(*table, {cur, cur_size}, dst);
     cur = dst;
     cur_size = static_cast<std::size_t>(n);
-    telem.decode_huffman.bytes_out.add(cur_size);
     ledger.flow(telemetry::Hop::kHuffman, stage_in, cur_size);
   } else {
     ledger.pass_through(telemetry::Hop::kHuffman, cur_size);
@@ -426,10 +399,8 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
 
   if (snappy) {
     const std::size_t stage_in = cur_size;
-    telem.decode_snappy.bytes_in.add(cur_size);
     RECODE_TRACE_SPAN("codec", "snappy_decode");
-    telemetry::StageTimer t(telem.decode_snappy.ns);
-    telemetry::StageTimer lt(ledger.hop(telemetry::Hop::kSnappy).ns);
+    telemetry::StageTimer t(ledger.hop(telemetry::Hop::kSnappy).ns);
     std::size_t pos = 0;
     const std::uint64_t n = varint_read(cur, cur_size, pos);
     if (n > static_cast<std::uint64_t>(cur_size - pos) * 24 + 8) {
@@ -441,27 +412,17 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
                                    : DecodeArena::kScratchA,
                            static_cast<std::size_t>(n))
             : out.slab(out_slot, static_cast<std::size_t>(n));
-    if constexpr (fast::kEnabled) {
-      fast::snappy_decode({cur, cur_size}, dst);
-      telem.decode_snappy.fast_streams.add(1);
-    } else {
-      const Bytes decoded = SnappyCodec().decode({cur, cur_size});
-      std::memcpy(dst, decoded.data(), decoded.size());
-      telem.decode_snappy.ref_streams.add(1);
-    }
+    fast::snappy_decode({cur, cur_size}, dst);
     cur = dst;
     cur_size = static_cast<std::size_t>(n);
-    telem.decode_snappy.bytes_out.add(cur_size);
     ledger.flow(telemetry::Hop::kSnappy, stage_in, cur_size);
   } else {
     ledger.pass_through(telemetry::Hop::kSnappy, cur_size);
   }
 
   const std::size_t transform_in = cur_size;
-  telem.decode_transform.bytes_in.add(cur_size);
   RECODE_TRACE_SPAN("codec", "transform_decode");
-  telemetry::StageTimer t(telem.decode_transform.ns);
-  telemetry::StageTimer lt(ledger.hop(telemetry::Hop::kTransform).ns);
+  telemetry::StageTimer t(ledger.hop(telemetry::Hop::kTransform).ns);
   switch (transform) {
     case Transform::kNone: {
       // Earlier stages already landed in the out slab. With no stage at
@@ -476,50 +437,24 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
     }
     case Transform::kDelta32: {
       std::uint8_t* dst = out.slab(out_slot, cur_size);
-      if constexpr (fast::kEnabled) {
-        cur_size = fast::delta_decode({cur, cur_size}, dst);
-        telem.decode_transform.fast_streams.add(1);
-      } else {
-        const Bytes decoded = DeltaCodec().decode({cur, cur_size});
-        std::memcpy(dst, decoded.data(), decoded.size());
-        cur_size = decoded.size();
-        telem.decode_transform.ref_streams.add(1);
-      }
+      cur_size = fast::delta_decode({cur, cur_size}, dst);
       cur = dst;
       break;
     }
     case Transform::kVarintDelta: {
       std::uint8_t* dst = out.slab(out_slot, expect_bytes);
-      if constexpr (fast::kEnabled) {
-        cur_size = fast::varint_delta_decode({cur, cur_size}, dst,
-                                             expect_bytes);
-        telem.decode_transform.fast_streams.add(1);
-      } else {
-        const Bytes decoded = VarintDeltaCodec().decode({cur, cur_size});
-        std::memcpy(dst, decoded.data(),
-                    std::min(decoded.size(), expect_bytes));
-        cur_size = decoded.size();
-        telem.decode_transform.ref_streams.add(1);
-      }
+      cur_size =
+          fast::varint_delta_decode({cur, cur_size}, dst, expect_bytes);
       cur = dst;
       break;
     }
     case Transform::kByteTranspose: {
       std::uint8_t* dst = out.slab(out_slot, cur_size);
-      if constexpr (fast::kEnabled) {
-        cur_size = fast::byte_untranspose({cur, cur_size}, dst);
-        telem.decode_transform.fast_streams.add(1);
-      } else {
-        const Bytes decoded = byte_untranspose({cur, cur_size});
-        std::memcpy(dst, decoded.data(), decoded.size());
-        cur_size = decoded.size();
-        telem.decode_transform.ref_streams.add(1);
-      }
+      cur_size = fast::byte_untranspose({cur, cur_size}, dst);
       cur = dst;
       break;
     }
   }
-  telem.decode_transform.bytes_out.add(cur_size);
   ledger.flow(telemetry::Hop::kTransform, transform_in, cur_size);
   return ArenaStream{cur, cur_size};
 }
@@ -540,8 +475,6 @@ DecodedBlock decompress_block_fast(const CompressedMatrix& cm, std::size_t b,
   RECODE_CHECK(b < cm.blocking.blocks.size());
   const BlockCodec bc = block_codec_checked(cm, b);
   const std::size_t payload = index_data.size() + value_data.size();
-  CodecTelemetry& telem = CodecTelemetry::get();
-  telem.decode_blocks.add(1);
   // Container hop: the compressed read includes the per-block codec-id
   // dispatch byte (container v2); the payload goes on to the codec chain.
   telemetry::MovementLedger::global().flow(telemetry::Hop::kContainer,
@@ -552,11 +485,11 @@ DecodedBlock decompress_block_fast(const CompressedMatrix& cm, std::size_t b,
   const ArenaStream idx = decode_stream_arena(
       bc.huffman, bc.snappy, index_data, bc.index_transform,
       cm.index_table.get(), count * sizeof(sparse::index_t), scratch, out,
-      DecodeArena::kIndexOut, telem);
+      DecodeArena::kIndexOut);
   const ArenaStream val = decode_stream_arena(
       bc.huffman, bc.snappy, value_data, bc.value_transform,
       cm.value_table.get(), count * sizeof(double), scratch, out,
-      DecodeArena::kValueOut, telem);
+      DecodeArena::kValueOut);
   if (idx.size != count * sizeof(sparse::index_t)) {
     fail("decompress_block: index stream size mismatch");
   }
@@ -584,8 +517,6 @@ void decompress_block_reference(const CompressedMatrix& cm, std::size_t b,
   RECODE_CHECK(b < cm.blocks.size());
   const BlockCodec bc = block_codec_checked(cm, b);
   const auto& block = cm.blocks[b];
-  CodecTelemetry& telem = CodecTelemetry::get();
-  telem.decode_blocks.add(1);
   telemetry::MovementLedger& ledger = telemetry::MovementLedger::global();
   ledger.flow(telemetry::Hop::kContainer, block.bytes() + 1, block.bytes());
   RECODE_TRACE_SPAN_ARG("codec", "decompress_block", "block", b);
@@ -595,42 +526,28 @@ void decompress_block_reference(const CompressedMatrix& cm, std::size_t b,
     Bytes buf(data.begin(), data.end());
     if (bc.huffman) {
       const std::size_t stage_in = buf.size();
-      telem.decode_huffman.bytes_in.add(buf.size());
       RECODE_TRACE_SPAN("codec", "huffman_decode");
-      telemetry::StageTimer t(telem.decode_huffman.ns);
-      telemetry::StageTimer lt(ledger.hop(telemetry::Hop::kHuffman).ns);
+      telemetry::StageTimer t(ledger.hop(telemetry::Hop::kHuffman).ns);
       const HuffmanCodec hc(table);
       buf = hc.decode(buf);
-      telem.decode_huffman.bytes_out.add(buf.size());
-      telem.decode_huffman.ref_streams.add(1);
       ledger.flow(telemetry::Hop::kHuffman, stage_in, buf.size());
     } else {
       ledger.pass_through(telemetry::Hop::kHuffman, buf.size());
     }
     if (bc.snappy) {
       const std::size_t stage_in = buf.size();
-      telem.decode_snappy.bytes_in.add(buf.size());
       RECODE_TRACE_SPAN("codec", "snappy_decode");
-      telemetry::StageTimer t(telem.decode_snappy.ns);
-      telemetry::StageTimer lt(ledger.hop(telemetry::Hop::kSnappy).ns);
+      telemetry::StageTimer t(ledger.hop(telemetry::Hop::kSnappy).ns);
       const SnappyCodec sc;
       buf = sc.decode(buf);
-      telem.decode_snappy.bytes_out.add(buf.size());
-      telem.decode_snappy.ref_streams.add(1);
       ledger.flow(telemetry::Hop::kSnappy, stage_in, buf.size());
     } else {
       ledger.pass_through(telemetry::Hop::kSnappy, buf.size());
     }
-    telem.decode_transform.bytes_in.add(buf.size());
     RECODE_TRACE_SPAN("codec", "transform_decode");
-    telemetry::StageTimer t(telem.decode_transform.ns);
-    telemetry::StageTimer lt(ledger.hop(telemetry::Hop::kTransform).ns);
+    telemetry::StageTimer t(ledger.hop(telemetry::Hop::kTransform).ns);
     Bytes out = invert_transform(transform, buf);
-    telem.decode_transform.bytes_out.add(out.size());
     ledger.flow(telemetry::Hop::kTransform, buf.size(), out.size());
-    if (transform != Transform::kNone) {
-      telem.decode_transform.ref_streams.add(1);
-    }
     return out;
   };
 

@@ -133,15 +133,15 @@ struct CompressedMatrix {
 CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg);
 
 // Decompresses block b into caller-provided buffers (resized to the block's
-// nnz count). Routed through the fast decode path (fast_decode.h) over a
-// thread-local DecodeArena, so steady-state calls reuse capacity instead
+// nnz count). Decoded by the word-wise fast decoders (fast_decode.h) over
+// a thread-local DecodeArena, so steady-state calls reuse capacity instead
 // of allocating per stage.
 void decompress_block(const CompressedMatrix& cm, std::size_t b,
                       std::vector<sparse::index_t>& indices,
                       std::vector<double>& values);
 
-// The pre-fast-path implementation: per-stage Bytes allocations and the
-// scalar reference decoders. Kept as the behavioral reference the
+// Per-stage Bytes allocations and the scalar reference decoders. No
+// engine decodes through it: it is the behavioral reference the
 // fast-decode differential suite and benches compare against.
 void decompress_block_reference(const CompressedMatrix& cm, std::size_t b,
                                 std::vector<sparse::index_t>& indices,

@@ -1,6 +1,6 @@
 // Data-movement ledger: per-run byte/bandwidth attribution across the
-// decode chain (the run-level counterpart of the per-stage codec
-// counters in pipeline.cc).
+// decode chain, and the one per-stage decode record (bytes and
+// nanoseconds per Huffman/Snappy/transform stage) for every engine.
 //
 // Every engine feeds the same process-wide MovementLedger with typed
 // byte-flow edges as data moves through the fixed hop chain

@@ -7,8 +7,10 @@ namespace recode::udp {
 
 namespace {
 
+// Strings here are built from std::string operands or with +=: GCC 12's
+// -Wrestrict misfires at -O3 on `"literal" + std::string&&`.
 std::string operand(const Operand& o) {
-  if (!o.is_imm) return "r" + std::to_string(o.reg);
+  if (!o.is_imm) return std::string("r") + std::to_string(o.reg);
   char buf[24];
   if (o.imm > 0xFFFF) {
     std::snprintf(buf, sizeof(buf), "0x%llx",
@@ -23,7 +25,7 @@ std::string operand(const Operand& o) {
 }  // namespace
 
 std::string format_action(const Action& a) {
-  const std::string dst = "r" + std::to_string(a.dst);
+  const std::string dst = std::string("r") + std::to_string(a.dst);
   switch (a.op) {
     case Op::kSetImm:
       return "set " + dst + ", " + operand(a.a);
@@ -120,7 +122,9 @@ std::string disassemble(const Program& program) {
       out += sym;
       out += ":";
       for (const Action& a : s.arcs[i].actions) {
-        out += " " + format_action(a) + ";";
+        out += " ";
+        out += format_action(a);
+        out += ";";
       }
       out += " -> " + program.state(s.arcs[i].next).name + "\n";
       i = j;

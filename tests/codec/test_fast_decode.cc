@@ -240,9 +240,6 @@ TEST(FastTransforms, VarintDeltaOverflowParsesPastCapacity) {
 }
 
 TEST(FastDecodeAlloc, BlockDecodeIsZeroAllocationOnceWarm) {
-  if (!fast::kEnabled) {
-    GTEST_SKIP() << "fast decode disabled (RECODE_FAST_DECODE=OFF)";
-  }
   const Csr csr =
       sparse::gen_fem_like(4000, 10, 80, ValueModel::kSmoothField, 77);
   const CompressedMatrix cm = compress(csr, PipelineConfig::udp_dsh());
@@ -275,9 +272,6 @@ TEST(FastDecodeAlloc, BlockDecodeIsZeroAllocationOnceWarm) {
 }
 
 TEST(FastDecodeAlloc, AllConfigsZeroAllocationOnceWarm) {
-  if (!fast::kEnabled) {
-    GTEST_SKIP() << "fast decode disabled (RECODE_FAST_DECODE=OFF)";
-  }
   const Csr csr =
       sparse::gen_banded(6000, 6, 0.9, ValueModel::kStencilCoeffs, 78);
   for (const PipelineConfig& cfg :

@@ -21,7 +21,6 @@
 #include <new>
 #include <utility>
 
-#include "codec/fast_decode.h"
 #include "codec/pipeline.h"
 #include "common/prng.h"
 #include "sparse/generators.h"
@@ -228,10 +227,6 @@ TEST(StreamingStress, SchedulerDrainsAfterMidStreamFault) {
 // only per-run work is seeding preallocated deques, decoding into grown
 // arenas, and accumulating.
 TEST(StreamingStress, WarmFusedMultiplyIsAllocationFree) {
-  if (!codec::fast::kEnabled) {
-    GTEST_SKIP() << "reference decoders allocate per block "
-                    "(RECODE_FAST_DECODE=OFF)";
-  }
   const std::uint64_t seed = test_seed(47);
   const Csr a = stress_matrix(seed + 29);
   const auto cm = codec::compress(a, PipelineConfig::udp_dsh());
@@ -277,10 +272,6 @@ TEST(StreamingStress, WarmFusedMultiplyIsAllocationFree) {
 // heap-silent run after run — cache lookups hand out the pinned bands by
 // shared_ptr copy, and no per-call structure is rebuilt.
 TEST(StreamingStress, WarmCachedThreadedMultiplyIsAllocationFree) {
-  if (!codec::fast::kEnabled) {
-    GTEST_SKIP() << "reference decoders allocate per block "
-                    "(RECODE_FAST_DECODE=OFF)";
-  }
   const std::uint64_t seed = test_seed(48);
   // Fixed structure seed: this matrix's blocking has several row-aligned
   // cuts, so the run always has more than one task to schedule.
@@ -324,10 +315,6 @@ TEST(StreamingStress, WarmCachedThreadedMultiplyIsAllocationFree) {
 // resident source, and its warmed multiply is heap-silent too: the
 // chunked lease walk and the reader's grown arenas allocate nothing.
 TEST(StreamingStress, WarmRecodedSpmvDefaultSourceIsAllocationFree) {
-  if (!codec::fast::kEnabled) {
-    GTEST_SKIP() << "reference decoders allocate per block "
-                    "(RECODE_FAST_DECODE=OFF)";
-  }
   const std::uint64_t seed = test_seed(49);
   const Csr a = stress_matrix(seed + 31);
   const auto cm = codec::compress(a, PipelineConfig::udp_dsh());

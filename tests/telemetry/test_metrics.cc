@@ -156,7 +156,7 @@ TEST(MetricsRegistry, ConcurrentHotPathUpdates) {
 
 TEST(MetricsSnapshot, JsonSchema) {
   MetricsRegistry reg;
-  reg.counter("codec.decode.blocks").add(12);
+  reg.counter("codec.encode.blocks").add(12);
   reg.gauge("udp.accel.utilization").set(0.75);
   reg.histogram("spmv.band_queue.push_wait_us").observe(5.0);
   // A gauge left NaN must serialize as null, not break the document.
@@ -171,7 +171,7 @@ TEST(MetricsSnapshot, JsonSchema) {
   ASSERT_TRUE(doc.has("histograms"));
   if (!kEnabled) return;
 
-  EXPECT_DOUBLE_EQ(doc.at("counters").at("codec.decode.blocks").num(), 12.0);
+  EXPECT_DOUBLE_EQ(doc.at("counters").at("codec.encode.blocks").num(), 12.0);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("udp.accel.utilization").num(), 0.75);
   EXPECT_TRUE(doc.at("gauges").at("nan.gauge").is_null());
 

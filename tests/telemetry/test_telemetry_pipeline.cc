@@ -191,12 +191,21 @@ TEST(TelemetryPipeline, CodecStageCountersAttributeBytes) {
   EXPECT_EQ(reg.counter("codec.encode.transform.bytes_in").value(),
             cm.nnz() * (sizeof(sparse::index_t) + sizeof(double)));
 
-  // Decode it back: per-stage decode counters mirror the block count and
-  // reproduce the raw bytes at the transform stage's output.
+  // Decode it back: the ledger is the one per-stage decode record. Its
+  // container hop sees each block once, the transform stage reproduces
+  // the raw bytes, and every active stage was timed.
+  auto& ledger = telemetry::MovementLedger::global();
+  const telemetry::LedgerSnapshot before = ledger.snapshot();
   codec::decompress(cm);
-  EXPECT_EQ(reg.counter("codec.decode.blocks").value(), cm.blocks.size());
-  EXPECT_EQ(reg.counter("codec.decode.transform.bytes_out").value(),
+  const telemetry::LedgerSnapshot win = ledger.snapshot().since(before);
+  EXPECT_EQ(win.hop(telemetry::Hop::kContainer).ops, cm.blocks.size());
+  EXPECT_EQ(win.hop(telemetry::Hop::kTransform).bytes_out,
             cm.nnz() * (sizeof(sparse::index_t) + sizeof(double)));
+  for (const telemetry::Hop h : {telemetry::Hop::kHuffman,
+                                 telemetry::Hop::kSnappy,
+                                 telemetry::Hop::kTransform}) {
+    EXPECT_GT(win.hop(h).ns, 0u) << telemetry::hop_name(h);
+  }
 }
 
 }  // namespace
