@@ -92,12 +92,20 @@ int mode_info(const std::string& rcm, const std::string& report) {
   t.add_row({"huffman", cm.config.huffman ? "yes" : "no"});
   t.add_row({"codec selection",
              codec::codec_selection_name(cm.config.selection)});
+  // The baseline is the config's stages in either Huffman layout: the
+  // interleaved one compress() writes, or the 1-lane one of v1/v2 files.
   std::size_t switched = 0;
-  const auto base_id = codec::codec_id_for(cm.config);
+  std::size_t interleaved = 0;
   for (std::size_t b = 0; b < cm.blocks.size(); ++b) {
-    if (cm.block_codec_id(b) != base_id) ++switched;
+    const auto id = cm.block_codec_id(b);
+    if (id != codec::codec_id_for(cm.config) &&
+        id != codec::implied_codec_id(cm.config)) {
+      ++switched;
+    }
+    if (codec::codec_from_id(id).interleaved) ++interleaved;
   }
   t.add_row({"blocks off baseline codec", std::to_string(switched)});
+  t.add_row({"interleaved huffman blocks", std::to_string(interleaved)});
   t.add_row({"stream bytes", std::to_string(cm.stream_bytes())});
   t.add_row({"bytes/nnz", Table::num(cm.bytes_per_nnz(), 3)});
   // The block-offset index out-of-core sources navigate by: footer-backed

@@ -181,7 +181,7 @@ HeaderInfo read_header(std::istream& in, CompressedMatrix& cm) {
   get_bytes(in, magic, 4);
   if (std::memcmp(magic, kMagic, 4) != 0) fail("rcm: bad magic");
   const auto version = get_pod<std::uint32_t>(in);
-  if (version != kContainerVersionV1 && version != kContainerVersion) {
+  if (version < kContainerVersionV1 || version > kContainerVersion) {
     fail("rcm: unsupported version " + std::to_string(version));
   }
 
@@ -204,7 +204,7 @@ HeaderInfo read_header(std::istream& in, CompressedMatrix& cm) {
   cm.config.value_transform = static_cast<Transform>(vt_raw);
   cm.config.snappy = get_pod<std::uint8_t>(in) != 0;
   cm.config.huffman = get_pod<std::uint8_t>(in) != 0;
-  if (version >= kContainerVersion) {
+  if (version >= kContainerVersionV2) {
     const auto sel_raw = get_pod<std::uint8_t>(in);
     if (sel_raw > 2) fail("rcm: unknown codec selection mode");
     cm.config.selection = static_cast<CodecSelection>(sel_raw);
@@ -263,8 +263,19 @@ HeaderInfo read_header(std::istream& in, CompressedMatrix& cm) {
   cm.blocking =
       sparse::make_blocking(std::span<const sparse::offset_t>(cm.row_ptr),
                             cm.config.nnz_per_block);
-  cm.block_codecs.assign(block_count, codec_id_for(cm.config));
+  cm.block_codecs.assign(block_count, implied_codec_id(cm.config));
   return {version, block_count};
+}
+
+// The registry gate plus the version gate: bit 6 (interleaved Huffman)
+// is new in v3, so a v1/v2 file carrying it fails with the message
+// v2 readers gave for the then-reserved bit.
+void check_block_codec(const CompressedMatrix& cm, std::size_t b,
+                       std::uint32_t version) {
+  const BlockCodec bc = block_codec_checked(cm, b);
+  RECODE_PARSE_CHECK(version >= kContainerVersion || !bc.interleaved,
+                     "codec registry: unknown codec id " +
+                         std::to_string(cm.block_codec_id(b)));
 }
 
 }  // namespace
@@ -274,7 +285,7 @@ CompressedMatrix read_compressed(std::istream& in) {
   const HeaderInfo hdr = read_header(in, cm);
   cm.blocks.resize(hdr.block_count);
   for (std::size_t b = 0; b < hdr.block_count; ++b) {
-    if (hdr.version >= kContainerVersion) {
+    if (hdr.version >= kContainerVersionV2) {
       cm.block_codecs[b] = get_pod<std::uint8_t>(in);
     }
     cm.blocks[b].index_data = get_blob(in);
@@ -283,7 +294,9 @@ CompressedMatrix read_compressed(std::istream& in) {
   // Validate every per-block id through the registry gate before handing
   // the matrix to a decode engine: unknown ids and huffman-stage ids in a
   // tableless container fail here with the engines' exact messages.
-  for (std::size_t b = 0; b < hdr.block_count; ++b) block_codec_checked(cm, b);
+  for (std::size_t b = 0; b < hdr.block_count; ++b) {
+    check_block_codec(cm, b, hdr.version);
+  }
   for (const auto& b : cm.blocks) {
     cm.index_stages.after_huffman += b.index_data.size();
     cm.value_stages.after_huffman += b.value_data.size();
@@ -351,7 +364,7 @@ BlockIndex scan_block_index(std::istream& in, std::uint64_t file_size,
   for (std::uint64_t b = 0; b < block_count; ++b) {
     index.offsets.push_back(tell_in(in));
     std::uint8_t id = cm.block_codec_id(static_cast<std::size_t>(b));
-    if (version >= kContainerVersion) id = get_pod<std::uint8_t>(in);
+    if (version >= kContainerVersionV2) id = get_pod<std::uint8_t>(in);
     index.codec_ids.push_back(id);
     for (int stream = 0; stream < 2; ++stream) {
       const std::uint64_t len = get_varint(in);
@@ -393,7 +406,7 @@ ContainerLayout read_container_layout(std::istream& in) {
   layout.matrix.block_codecs.assign(layout.index.codec_ids.begin(),
                                     layout.index.codec_ids.end());
   for (std::size_t b = 0; b < layout.index.block_count(); ++b) {
-    block_codec_checked(layout.matrix, b);
+    check_block_codec(layout.matrix, b, layout.version);
   }
   return layout;
 }

@@ -6,8 +6,8 @@
 // run time — the deployment model the paper assumes (matrices are
 // compressed ahead of time; only decompression is on the critical path).
 //
-// Layout v2 (little-endian) — written by write_compressed:
-//   magic "RCM1" | u32 version (= 2)
+// Layout v3 (little-endian) — written by write_compressed:
+//   magic "RCM1" | u32 version (= 3)
 //   i32 rows | i32 cols | u64 nnz_per_block
 //   u8 index_transform | u8 value_transform | u8 snappy | u8 huffman
 //   u8 selection                      (CodecSelection; new in v2)
@@ -17,6 +17,13 @@
 //   varint block count, then per block:
 //     u8 codec_id                     (registry packed id; new in v2)
 //     varint index bytes | data | varint value bytes | data
+//
+// v3 differs from v2 only in what a codec id may say: bit 6 marks the
+// block's Huffman payloads as the 4-lane interleaved layout (huffman.h),
+// which compress() writes on every Huffman block. A v1/v2 file with
+// bit 6 set is rejected as an unknown codec id, exactly as v2 readers
+// rejected the then-reserved bit, so old files decode as they always
+// did: Huffman payloads in the 1-lane layout.
 //
 // v1 (version = 1) lacks the selection byte and the per-block codec-id
 // byte: every block implicitly uses the config's single pipeline.
@@ -55,7 +62,8 @@
 namespace recode::codec {
 
 inline constexpr std::uint32_t kContainerVersionV1 = 1;
-inline constexpr std::uint32_t kContainerVersion = 2;
+inline constexpr std::uint32_t kContainerVersionV2 = 2;
+inline constexpr std::uint32_t kContainerVersion = 3;
 
 inline constexpr char kIndexFooterMagic[8] = {'R', 'C', 'M', 'X',
                                               'I', 'D', 'X', '1'};

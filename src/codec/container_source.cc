@@ -67,7 +67,7 @@ ParsedRecord parse_record(const std::uint8_t* data, std::size_t size,
                           std::uint32_t version, std::uint8_t expect_id) {
   const std::uint8_t* p = data;
   const std::uint8_t* const end = data + size;
-  if (version >= kContainerVersion) {
+  if (version >= kContainerVersionV2) {
     if (p == end) fail("rcm: truncated container");
     if (*p != expect_id) fail("rcm: codec id disagrees with index");
     ++p;

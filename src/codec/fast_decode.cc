@@ -60,66 +60,102 @@ void copy_match(std::uint8_t* dst, std::size_t op, std::size_t off,
 }  // namespace
 
 std::size_t huffman_decode(const HuffmanTable& table, ByteSpan input,
-                           std::uint8_t* dst) {
-  std::size_t pos = 0;
-  const std::uint64_t count = varint_read(input.data(), input.size(), pos);
-  // Same untrusted-count rejection as the reference decoder.
-  if (count > (static_cast<std::uint64_t>(input.size()) - pos) * 8) {
-    fail("huffman: declared count exceeds stream capacity");
-  }
-  const std::uint8_t* p = input.data() + pos;
-  const std::size_t nbytes = input.size() - pos;
+                           std::uint8_t* dst, bool interleaved) {
+  // Same header validation (count capacity, jump-table bounds) and the
+  // same error messages as the reference decoder, by construction.
+  const HuffmanFrame frame = parse_huffman_frame(input, interleaved);
   const HuffmanTable::MultiEntry* multi = table.multi_table();
   const HuffmanTable::DecodeEntry* single = table.decode_table();
   constexpr std::uint32_t kWindowMask = (1u << kMaxCodeLen) - 1;
 
-  std::uint64_t acc = 0;  // low acc_bits hold the unconsumed stream bits
-  int acc_bits = 0;
-  std::size_t byte_pos = 0;
-  std::size_t out = 0;
-
-  // Bulk loop: refill 8..48 bits with one unaligned 8-byte load whenever
-  // the buffer drops below 56, then decode up to 4 symbols per
-  // multi-table probe. Runs while a full lookup window of real bits is
-  // guaranteed and a whole 4-byte emit still fits under count; the tail
-  // loop below handles the rest with reference-identical semantics.
-  while (out + 4 <= count) {
-    if (acc_bits < 56 && byte_pos + 8 <= nbytes) {
-      const int nb = (63 - acc_bits) >> 3;
-      acc = (acc << (nb * 8)) | (load_be64(p + byte_pos) >> (64 - nb * 8));
-      byte_pos += static_cast<std::size_t>(nb);
-      acc_bits += nb * 8;
-    }
-    if (acc_bits < kMaxCodeLen) break;
-    const std::uint32_t window =
-        static_cast<std::uint32_t>(acc >> (acc_bits - kMaxCodeLen)) &
-        kWindowMask;
-    const HuffmanTable::MultiEntry& e = multi[window];
-    std::memcpy(dst + out, e.symbols, 4);  // 4-byte emit into the slop
-    out += e.count;
-    acc_bits -= e.bits;
+  // One sub-stream mid-decode: `bit` bits of `in` consumed, output
+  // written up to `out`, which stops at the lane's own range end.
+  struct Lane {
+    const std::uint8_t* in;
+    std::size_t in_bytes;
+    std::size_t bit;
+    std::uint8_t* out;
+    std::uint8_t* out_end;
+  };
+  Lane lanes[kHuffmanLanes]{};
+  for (int k = 0; k < frame.lanes; ++k) {
+    std::uint8_t* out = dst + frame.first(k);
+    lanes[k] = {frame.streams[k].data(), frame.streams[k].size(), 0, out,
+                out + frame.symbols(k)};
   }
 
-  // Scalar tail: byte-wise refill and single-symbol lookups, identical
-  // to HuffmanCodec::decode including its truncation errors.
-  while (out < count) {
-    while (acc_bits < kMaxCodeLen && byte_pos < nbytes) {
-      acc = (acc << 8) | p[byte_pos++];
-      acc_bits += 8;
+  // A word-wise step reads one unaligned 8-byte load at the lane's bit
+  // position — the next 57..64 real stream bits, MSB-aligned — and makes
+  // up to `probes` multi-table probes from it, each emitting up to 4
+  // symbols with one 4-byte store. Three probes consume at most 45 bits,
+  // so every probe's 15-bit window lies in real bits. A step runs only
+  // while the load stays inside the lane's sub-stream and every store
+  // stays inside the lane's output range, so no lane ever writes over
+  // another's symbols and no step can hit a truncation.
+  const auto ready = [](const Lane& l, int probes) {
+    return (l.bit >> 3) + 8 <= l.in_bytes &&
+           l.out_end - l.out >= 4 * probes;
+  };
+  const auto peek = [](const Lane& l) {
+    return load_be64(l.in + (l.bit >> 3)) << (l.bit & 7);
+  };
+  const auto probe = [multi](Lane& l, std::uint64_t& window) {
+    const HuffmanTable::MultiEntry& e = multi[window >> (64 - kMaxCodeLen)];
+    std::memcpy(l.out, e.symbols, 4);
+    l.out += e.count;
+    l.bit += e.bits;
+    window <<= e.bits;
+  };
+
+  // Interleaved bulk: the four lanes' probes are independent, so their
+  // table lookups overlap instead of each waiting on the previous code
+  // length. Runs until any lane nears the end of its sub-stream.
+  if (frame.lanes == kHuffmanLanes) {
+    for (;;) {
+      bool all_ready = true;
+      for (const Lane& l : lanes) all_ready &= ready(l, 3);
+      if (!all_ready) break;
+      std::uint64_t windows[kHuffmanLanes];
+      for (int k = 0; k < kHuffmanLanes; ++k) windows[k] = peek(lanes[k]);
+      for (int p = 0; p < 3; ++p) {
+        for (int k = 0; k < kHuffmanLanes; ++k) probe(lanes[k], windows[k]);
+      }
     }
-    if (acc_bits <= 0) fail("huffman: truncated stream");
-    const std::uint32_t window =
-        acc_bits >= kMaxCodeLen
-            ? static_cast<std::uint32_t>(acc >> (acc_bits - kMaxCodeLen)) &
-                  kWindowMask
-            : static_cast<std::uint32_t>(acc << (kMaxCodeLen - acc_bits)) &
-                  kWindowMask;
-    const HuffmanTable::DecodeEntry e = single[window];
-    if (e.length > acc_bits) fail("huffman: truncated stream");
-    acc_bits -= e.length;
-    dst[out++] = e.symbol;
   }
-  return static_cast<std::size_t>(count);
+
+  // Per-lane finish (the whole decode of a 1-lane payload): word-wise
+  // steps while they fit, then a scalar tail of single-symbol lookups on
+  // zero-padded windows, identical to HuffmanCodec::decode including its
+  // truncation errors.
+  for (int k = 0; k < frame.lanes; ++k) {
+    Lane& l = lanes[k];
+    while (ready(l, 3)) {
+      std::uint64_t window = peek(l);
+      probe(l, window);
+      probe(l, window);
+      probe(l, window);
+    }
+    while (ready(l, 1)) {
+      std::uint64_t window = peek(l);
+      probe(l, window);
+    }
+    const std::size_t total_bits = l.in_bytes * 8;
+    while (l.out < l.out_end) {
+      if (l.bit >= total_bits) fail("huffman: truncated stream");
+      const std::size_t byte = l.bit >> 3;
+      std::uint32_t v = 0;  // the next 3 bytes, zero past the end
+      for (std::size_t i = byte; i < byte + 3; ++i) {
+        v = (v << 8) | (i < l.in_bytes ? l.in[i] : 0u);
+      }
+      const std::uint32_t window =
+          (v >> (24 - kMaxCodeLen - (l.bit & 7))) & kWindowMask;
+      const HuffmanTable::DecodeEntry e = single[window];
+      if (e.length > total_bits - l.bit) fail("huffman: truncated stream");
+      l.bit += e.length;
+      *l.out++ = e.symbol;
+    }
+  }
+  return static_cast<std::size_t>(frame.count);
 }
 
 std::size_t snappy_decode(ByteSpan input, std::uint8_t* dst) {

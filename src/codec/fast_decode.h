@@ -4,9 +4,13 @@
 // >20 GB/s, ~7x CPU Snappy) assume the decompression inner loop is
 // engineered to saturate bandwidth. These are the host-side equivalents:
 //
-//  * huffman_decode — 64-bit bit buffer refilled 48-56 bits at a time via
-//    one unaligned 8-byte load, multi-symbol table lookups emitting up to
-//    4 symbols per probe (HuffmanTable::MultiEntry), scalar tail.
+//  * huffman_decode — one lane-generic decoder for both Huffman payload
+//    layouts (huffman.h). Each lane reads its sub-stream through one
+//    unaligned 8-byte load per step and makes up to 3 multi-symbol
+//    table probes from it (HuffmanTable::MultiEntry, up to 4 symbols
+//    each). On a 4-lane payload the lanes' probes run interleaved, so
+//    four independent lookup chains overlap; each lane then finishes
+//    alone, word-wise and then with a scalar tail.
 //  * snappy_decode — 16-byte literal chunks and 8-byte match chunks into
 //    a slop-margin destination; byte loop only near the input tail and
 //    for overlapping short-offset copies.
@@ -30,11 +34,13 @@
 
 namespace recode::codec::fast {
 
-// Decodes a Huffman stream (varint count + MSB-first bits) into dst.
-// dst must have room for the declared count plus kArenaSlop bytes — size
-// it with HuffmanCodec::decoded_length. Returns the decoded byte count.
+// Decodes a Huffman payload into dst: the 1-lane layout, or the 4-lane
+// interleaved one when `interleaved` (codec id bit 6; layouts in
+// huffman.h). dst must have room for the declared count plus kArenaSlop
+// bytes — size it with HuffmanCodec::decoded_length. Returns the decoded
+// byte count.
 std::size_t huffman_decode(const HuffmanTable& table, ByteSpan input,
-                           std::uint8_t* dst);
+                           std::uint8_t* dst, bool interleaved = false);
 
 // Decodes a Snappy stream into dst. dst must have room for the declared
 // length plus kArenaSlop bytes — size it with SnappyCodec::decoded_length

@@ -195,47 +195,33 @@ void HuffmanTable::build_decode_table() {
   }
 }
 
-Bytes HuffmanCodec::encode(ByteSpan input) const {
-  Bytes out;
-  varint_append(out, input.size());
-  BitWriter writer;
-  for (std::uint8_t b : input) {
-    writer.write(table_->code(b), table_->length(b));
-  }
-  const Bytes bits = writer.finish();
-  out.insert(out.end(), bits.begin(), bits.end());
-  return out;
+namespace {
+
+// Code bits of a symbol run under `table`.
+std::uint64_t code_bits(const HuffmanTable& table, ByteSpan symbols) {
+  std::uint64_t bits = 0;
+  for (std::uint8_t b : symbols) bits += table.length(b);
+  return bits;
 }
 
-std::size_t HuffmanCodec::decoded_length(ByteSpan input) {
-  std::size_t pos = 0;
-  return static_cast<std::size_t>(
-      varint_read(input.data(), input.size(), pos));
+// Appends one lane's MSB-first bit stream, zero-padded to a byte, to out.
+Bytes append_lane(const HuffmanTable& table, ByteSpan symbols, Bytes out) {
+  BitWriter writer(std::move(out));
+  for (std::uint8_t b : symbols) writer.write(table.code(b), table.length(b));
+  return writer.finish();
 }
 
-Bytes HuffmanCodec::decode(ByteSpan input) const {
-  std::size_t pos = 0;
-  const std::uint64_t count = varint_read(input.data(), input.size(), pos);
-  // Untrusted count: every symbol consumes at least one bit, so a count
-  // beyond the stream's bit capacity is corruption — reject it before the
-  // pre-allocation instead of reserving an attacker-chosen amount.
-  if (count > (static_cast<std::uint64_t>(input.size()) - pos) * 8) {
-    fail("huffman: declared count exceeds stream capacity");
-  }
-  Bytes out;
-  out.reserve(count);
-
+// Scalar reference decode of one lane: `count` symbols from `in`, one
+// single-table lookup each, appended to out.
+void decode_lane(const HuffmanTable::DecodeEntry* table, ByteSpan in,
+                 std::uint64_t count, Bytes& out) {
   // Bit accumulator: keep >= kMaxCodeLen bits available when possible.
-  const std::uint8_t* p = input.data() + pos;
-  const std::size_t nbytes = input.size() - pos;
   std::uint32_t acc = 0;
   int acc_bits = 0;
   std::size_t byte_pos = 0;
-  const HuffmanTable::DecodeEntry* table = table_->decode_table();
-
   for (std::uint64_t i = 0; i < count; ++i) {
-    while (acc_bits < kMaxCodeLen && byte_pos < nbytes) {
-      acc = (acc << 8) | p[byte_pos++];
+    while (acc_bits < kMaxCodeLen && byte_pos < in.size()) {
+      acc = (acc << 8) | in[byte_pos++];
       acc_bits += 8;
     }
     if (acc_bits <= 0) fail("huffman: truncated stream");
@@ -248,6 +234,87 @@ Bytes HuffmanCodec::decode(ByteSpan input) const {
     if (entry.length > acc_bits) fail("huffman: truncated stream");
     acc_bits -= entry.length;
     out.push_back(entry.symbol);
+  }
+}
+
+}  // namespace
+
+std::uint64_t HuffmanFrame::first(int k) const {
+  return std::min(count, static_cast<std::uint64_t>(k) * stride);
+}
+
+std::uint64_t HuffmanFrame::symbols(int k) const {
+  return (k + 1 == lanes ? count : first(k + 1)) - first(k);
+}
+
+HuffmanFrame parse_huffman_frame(ByteSpan input, bool interleaved) {
+  HuffmanFrame f;
+  std::size_t pos = 0;
+  f.count = varint_read(input.data(), input.size(), pos);
+  // Untrusted count: every symbol consumes at least one bit, so a count
+  // beyond the stream's bit capacity is corruption — reject it before
+  // any caller sizes an output buffer by it.
+  if (f.count > (static_cast<std::uint64_t>(input.size()) - pos) * 8) {
+    fail("huffman: declared count exceeds stream capacity");
+  }
+  if (!interleaved) {
+    f.stride = f.count;
+    f.streams[0] = input.subspan(pos);
+    return f;
+  }
+  f.lanes = kHuffmanLanes;
+  f.stride = (f.count + kHuffmanLanes - 1) / kHuffmanLanes;
+  std::uint64_t lengths[kHuffmanLanes - 1];
+  for (auto& len : lengths) len = varint_read(input.data(), input.size(), pos);
+  std::uint64_t rest = input.size() - pos;
+  for (int k = 0; k < kHuffmanLanes - 1; ++k) {
+    if (lengths[k] > rest) fail("huffman: sub-stream lengths exceed stream");
+    f.streams[k] = input.subspan(pos, static_cast<std::size_t>(lengths[k]));
+    pos += static_cast<std::size_t>(lengths[k]);
+    rest -= lengths[k];
+  }
+  f.streams[kHuffmanLanes - 1] = input.subspan(pos);
+  return f;
+}
+
+Bytes HuffmanCodec::encode(ByteSpan input) const {
+  const int lanes = interleaved_ ? kHuffmanLanes : 1;
+  const std::size_t stride = (input.size() + lanes - 1) / lanes;
+  ByteSpan lane_symbols[kHuffmanLanes];
+  std::uint64_t lane_bytes[kHuffmanLanes];
+  std::uint64_t total = 0;
+  for (int k = 0; k < lanes; ++k) {
+    const std::size_t first = std::min(input.size(), k * stride);
+    const std::size_t last = std::min(input.size(), first + stride);
+    lane_symbols[k] = input.subspan(first, last - first);
+    lane_bytes[k] = (code_bits(*table_, lane_symbols[k]) + 7) / 8;
+    total += lane_bytes[k];
+  }
+  // Sized exactly up front: count, jump header, then each lane's bits.
+  std::uint64_t size = varint_size(input.size()) + total;
+  for (int k = 0; k + 1 < lanes; ++k) size += varint_size(lane_bytes[k]);
+  Bytes out;
+  out.reserve(static_cast<std::size_t>(size));
+  varint_append(out, input.size());
+  for (int k = 0; k + 1 < lanes; ++k) varint_append(out, lane_bytes[k]);
+  for (int k = 0; k < lanes; ++k) {
+    out = append_lane(*table_, lane_symbols[k], std::move(out));
+  }
+  return out;
+}
+
+std::size_t HuffmanCodec::decoded_length(ByteSpan input) {
+  std::size_t pos = 0;
+  return static_cast<std::size_t>(
+      varint_read(input.data(), input.size(), pos));
+}
+
+Bytes HuffmanCodec::decode(ByteSpan input) const {
+  const HuffmanFrame f = parse_huffman_frame(input, interleaved_);
+  Bytes out;
+  out.reserve(f.count);
+  for (int k = 0; k < f.lanes; ++k) {
+    decode_lane(table_->decode_table(), f.streams[k], f.symbols(k), out);
   }
   return out;
 }

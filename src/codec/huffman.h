@@ -84,17 +84,58 @@ class HuffmanTable {
   std::array<MultiEntry, 1u << kMaxCodeLen> multi_{};
 };
 
-// Stateless Huffman codec bound to a shared table. The encoded stream is:
-// varint(decoded_byte_count) followed by the MSB-first bit stream.
+// Sub-streams per payload in the interleaved Huffman layout (codec id
+// bit 6, codec/registry.h). A format constant: the layout has no other
+// lane count.
+inline constexpr int kHuffmanLanes = 4;
+
+// The two Huffman payload layouts. Both start with varint(decoded byte
+// count) n; the code bits follow as:
 //
-// decode() is the scalar reference implementation (one symbol per table
-// lookup, byte-wise refill); the production hot path is
-// fast::huffman_decode (fast_decode.h), which must stay bitwise-identical
-// to it — the fast-decode differential suite enforces that.
+//   1 lane (v1/v2 files, bit 6 clear): one MSB-first bit stream of all
+//     n symbols, zero-padded to a byte.
+//   4 lanes (what compress() writes): a jump header of 3 varint byte
+//     lengths for sub-streams 0..2, then sub-streams 0..3 back to back
+//     (sub-stream 3 runs to the end of the payload). Sub-stream k is its
+//     own zero-padded MSB-first bit stream of symbols
+//     [k*q, min(n, (k+1)*q)), q = ceil(n/4), so a decoder can walk all
+//     four at once with independent bit buffers (zstd's 4-stream
+//     Huffman layout) and each lane writes a disjoint output range.
+//
+// HuffmanFrame is the parsed header. Every decoder (the scalar
+// reference, fast::huffman_decode and the UDP engine) parses through
+// parse_huffman_frame, so header errors are identical across engines by
+// construction.
+struct HuffmanFrame {
+  std::uint64_t count = 0;  // decoded bytes n
+  int lanes = 1;            // 1 or kHuffmanLanes
+  std::uint64_t stride = 0; // symbols per lane but the last: ceil(n/lanes)
+  ByteSpan streams[kHuffmanLanes];  // lane k's sub-stream bytes
+
+  // Output offset of lane k's first symbol, and its symbol count.
+  std::uint64_t first(int k) const;
+  std::uint64_t symbols(int k) const;
+};
+
+// Throws recode::Error on a malformed header: a truncated or overlong
+// varint, a count beyond the payload's bit capacity (every symbol takes
+// at least one bit, so this bounds the caller's allocation), or jump
+// lengths that run past the payload.
+HuffmanFrame parse_huffman_frame(ByteSpan input, bool interleaved);
+
+// Stateless Huffman codec bound to a shared table, writing and reading
+// one of the two payload layouts above (interleaved = the 4-lane one).
+//
+// decode() is the scalar reference implementation for both layouts (one
+// symbol per table lookup, byte-wise refill, lane after lane); the
+// production hot path is fast::huffman_decode (fast_decode.h), which
+// must stay bitwise- and error-identical to it — the fast-decode
+// differential suite enforces that.
 class HuffmanCodec final : public Codec {
  public:
-  explicit HuffmanCodec(std::shared_ptr<const HuffmanTable> table)
-      : table_(std::move(table)) {}
+  explicit HuffmanCodec(std::shared_ptr<const HuffmanTable> table,
+                        bool interleaved = false)
+      : table_(std::move(table)), interleaved_(interleaved) {}
 
   std::string name() const override { return "huffman"; }
   Bytes encode(ByteSpan input) const override;
@@ -107,6 +148,7 @@ class HuffmanCodec final : public Codec {
 
  private:
   std::shared_ptr<const HuffmanTable> table_;
+  bool interleaved_;
 };
 
 }  // namespace recode::codec

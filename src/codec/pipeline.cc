@@ -137,7 +137,7 @@ PipelineConfig PipelineConfig::udp_adaptive() {
 }
 
 CodecId CompressedMatrix::block_codec_id(std::size_t b) const {
-  return block_codecs.empty() ? codec_id_for(config) : block_codecs[b];
+  return block_codecs.empty() ? implied_codec_id(config) : block_codecs[b];
 }
 
 std::size_t CompressedMatrix::stream_bytes() const {
@@ -161,7 +161,8 @@ EncodedStages encode_stages(ByteSpan raw, Transform transform, bool snappy,
       snappy ? snappy_codec.encode(st.after_transform) : st.after_transform;
   if (huffman != nullptr) {
     const HuffmanCodec hc(std::shared_ptr<const HuffmanTable>(
-        std::shared_ptr<void>(), huffman));  // non-owning aliasing ptr
+                              std::shared_ptr<void>(), huffman),
+                          /*interleaved=*/true);  // non-owning aliasing ptr
     st.after_huffman = hc.encode(st.after_snappy);
   } else {
     st.after_huffman = st.after_snappy;
@@ -232,8 +233,8 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
   }
 
   // Pass 2: train the per-matrix tables on the sampled baseline mid
-  // streams, then finish each block — uniformly (kSingle, the v1
-  // behavior, bit-for-bit) or through per-block codec selection.
+  // streams, then finish each block — uniformly (kSingle) or through
+  // per-block codec selection.
   cm.blocks.resize(nblocks);
   if (cfg.huffman) {
     cm.index_table =
@@ -243,14 +244,26 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
   }
   const CodecId base_id = codec_id_for(cfg);
   cm.block_codecs.assign(nblocks, base_id);
+  // The baseline Huffman stage (interleaved layout) over one block's
+  // pass-1 mid streams, fed to the encode_huffman counters.
+  const HuffmanCodec index_hc(cm.index_table, /*interleaved=*/true);
+  const HuffmanCodec value_hc(cm.value_table, /*interleaved=*/true);
+  const auto huffman_encode = [&](const Bytes& index_in,
+                                  const Bytes& value_in,
+                                  CompressedBlock& block) {
+    {
+      telemetry::StageTimer t(telem.encode_huffman.ns);
+      block.index_data = index_hc.encode(index_in);
+      block.value_data = value_hc.encode(value_in);
+    }
+    telem.encode_huffman.bytes_in.add(index_in.size() + value_in.size());
+    telem.encode_huffman.bytes_out.add(block.bytes());
+  };
 
   if (cfg.selection == CodecSelection::kSingle) {
     if (cfg.huffman) {
-      const HuffmanCodec index_hc(cm.index_table);
-      const HuffmanCodec value_hc(cm.value_table);
       for (std::size_t b = 0; b < nblocks; ++b) {
-        cm.blocks[b].index_data = index_hc.encode(index_mid[b]);
-        cm.blocks[b].value_data = value_hc.encode(value_mid[b]);
+        huffman_encode(index_mid[b], value_mid[b], cm.blocks[b]);
         index_mid[b].clear();
         value_mid[b].clear();
       }
@@ -281,10 +294,7 @@ CompressedMatrix compress(const sparse::Csr& csr, const PipelineConfig& cfg) {
       std::size_t chosen_mid[2] = {index_mid[b].size(), value_mid[b].size()};
       CompressedBlock chosen_block;
       if (cfg.huffman) {
-        const HuffmanCodec index_hc(cm.index_table);
-        const HuffmanCodec value_hc(cm.value_table);
-        chosen_block.index_data = index_hc.encode(index_mid[b]);
-        chosen_block.value_data = value_hc.encode(value_mid[b]);
+        huffman_encode(index_mid[b], value_mid[b], chosen_block);
       } else {
         chosen_block.index_data = std::move(index_mid[b]);
         chosen_block.value_data = std::move(value_mid[b]);
@@ -366,8 +376,8 @@ struct ArenaStream {
 // Every slab is sized only after the reference decoders' own
 // untrusted-length checks, so a corrupt stream fails with the reference
 // error before it can demand an attacker-chosen allocation.
-ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
-                                Transform transform,
+ArenaStream decode_stream_arena(bool huffman, bool interleaved, bool snappy,
+                                ByteSpan data, Transform transform,
                                 const HuffmanTable* table,
                                 std::size_t expect_bytes, DecodeArena& scratch,
                                 DecodeArena& out, std::size_t out_slot) {
@@ -389,7 +399,7 @@ ArenaStream decode_stream_arena(bool huffman, bool snappy, ByteSpan data,
                             ? scratch.slab(DecodeArena::kScratchA,
                                            static_cast<std::size_t>(n))
                             : out.slab(out_slot, static_cast<std::size_t>(n));
-    fast::huffman_decode(*table, {cur, cur_size}, dst);
+    fast::huffman_decode(*table, {cur, cur_size}, dst, interleaved);
     cur = dst;
     cur_size = static_cast<std::size_t>(n);
     ledger.flow(telemetry::Hop::kHuffman, stage_in, cur_size);
@@ -483,11 +493,11 @@ DecodedBlock decompress_block_fast(const CompressedMatrix& cm, std::size_t b,
 
   const std::size_t count = cm.blocking.blocks[b].count;
   const ArenaStream idx = decode_stream_arena(
-      bc.huffman, bc.snappy, index_data, bc.index_transform,
+      bc.huffman, bc.interleaved, bc.snappy, index_data, bc.index_transform,
       cm.index_table.get(), count * sizeof(sparse::index_t), scratch, out,
       DecodeArena::kIndexOut);
   const ArenaStream val = decode_stream_arena(
-      bc.huffman, bc.snappy, value_data, bc.value_transform,
+      bc.huffman, bc.interleaved, bc.snappy, value_data, bc.value_transform,
       cm.value_table.get(), count * sizeof(double), scratch, out,
       DecodeArena::kValueOut);
   if (idx.size != count * sizeof(sparse::index_t)) {
@@ -528,7 +538,7 @@ void decompress_block_reference(const CompressedMatrix& cm, std::size_t b,
       const std::size_t stage_in = buf.size();
       RECODE_TRACE_SPAN("codec", "huffman_decode");
       telemetry::StageTimer t(ledger.hop(telemetry::Hop::kHuffman).ns);
-      const HuffmanCodec hc(table);
+      const HuffmanCodec hc(table, bc.interleaved);
       buf = hc.decode(buf);
       ledger.flow(telemetry::Hop::kHuffman, stage_in, buf.size());
     } else {

@@ -38,7 +38,7 @@ using CodecId = std::uint8_t;
 
 // How the encoder picks each block's codec.
 enum class CodecSelection : std::uint8_t {
-  kSingle,      // every block uses the config's pipeline (the v1 behavior)
+  kSingle,      // every block uses the config's pipeline
   kHeuristic,   // per-block pick from sparse/stats.h block statistics
   kExhaustive,  // per-block trial-encode of candidate_codecs(), min bytes
 };
@@ -51,7 +51,7 @@ struct PipelineConfig {
   bool snappy = true;
   bool huffman = true;
   // Per-block adaptive codec selection (codec/registry.h). kSingle keeps
-  // the paper's one-pipeline-per-matrix behavior bit-for-bit.
+  // the paper's one pipeline per matrix.
   CodecSelection selection = CodecSelection::kSingle;
   std::size_t nnz_per_block = sparse::kDefaultNnzPerBlock;  // 1024 => 8 KB value blocks
   double huffman_sample_fraction = 0.4;  // fraction of blocks used to train
@@ -101,8 +101,9 @@ struct CompressedMatrix {
   std::shared_ptr<const HuffmanTable> value_table;
   std::vector<CompressedBlock> blocks;
   // One CodecId per block (codec/registry.h). Empty means uniform: every
-  // block uses the config's pipeline (hand-built matrices, pre-registry
-  // callers); compress() and read_compressed() always populate it.
+  // block uses the config's implied_codec_id, i.e. Huffman in the 1-lane
+  // layout (hand-built matrices, pre-registry callers); compress() and
+  // read_compressed() always populate it.
   std::vector<CodecId> block_codecs;
   StageSizes index_stages;
   StageSizes value_stages;
@@ -180,7 +181,8 @@ DecodedBlock decompress_block_fast(const CompressedMatrix& cm, std::size_t b,
 sparse::Csr decompress(const CompressedMatrix& cm);
 
 // Stage-by-stage forward transform of one raw byte block, exposed so the
-// UDP programs and ablations can tap intermediate representations.
+// UDP programs and ablations can tap intermediate representations. The
+// Huffman stage writes the interleaved layout compress() writes.
 struct EncodedStages {
   Bytes after_transform;  // == input when transform is kNone
   Bytes after_snappy;     // == after_transform when snappy disabled

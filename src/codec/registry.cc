@@ -15,7 +15,8 @@ constexpr CodecId kIndexShift = 0;
 constexpr CodecId kValueShift = 2;
 constexpr CodecId kSnappyBit = 1u << 4;
 constexpr CodecId kHuffmanBit = 1u << 5;
-constexpr CodecId kReservedMask = 0xC0;
+constexpr CodecId kInterleavedBit = 1u << 6;
+constexpr CodecId kReservedMask = 0x80;
 
 // Index streams never use byte-transposition (it regroups 8-byte value
 // records; indices are 4-byte words), so the index field tops out at
@@ -42,26 +43,30 @@ CodecId codec_id(const BlockCodec& c) {
                kMaxIndexTransform);
   RECODE_CHECK(static_cast<std::uint8_t>(c.value_transform) <=
                kMaxValueTransform);
+  RECODE_CHECK(!c.interleaved || c.huffman);
   return static_cast<CodecId>(
       (static_cast<CodecId>(c.index_transform) << kIndexShift) |
       (static_cast<CodecId>(c.value_transform) << kValueShift) |
-      (c.snappy ? kSnappyBit : 0) | (c.huffman ? kHuffmanBit : 0));
+      (c.snappy ? kSnappyBit : 0) | (c.huffman ? kHuffmanBit : 0) |
+      (c.interleaved ? kInterleavedBit : 0));
+}
+
+bool codec_id_valid(CodecId id) {
+  return (id & kReservedMask) == 0 &&
+         ((id >> kIndexShift) & 0x3) <= kMaxIndexTransform &&
+         ((id & kInterleavedBit) == 0 || (id & kHuffmanBit) != 0);
 }
 
 BlockCodec codec_from_id(CodecId id) {
-  RECODE_PARSE_CHECK((id & kReservedMask) == 0 &&
-                         ((id >> kIndexShift) & 0x3) <= kMaxIndexTransform,
-                     "codec registry: unknown codec id " + std::to_string(id));
+  RECODE_PARSE_CHECK(codec_id_valid(id), "codec registry: unknown codec id " +
+                                             std::to_string(id));
   BlockCodec c;
   c.index_transform = static_cast<Transform>((id >> kIndexShift) & 0x3);
   c.value_transform = static_cast<Transform>((id >> kValueShift) & 0x3);
   c.snappy = (id & kSnappyBit) != 0;
   c.huffman = (id & kHuffmanBit) != 0;
+  c.interleaved = (id & kInterleavedBit) != 0;
   return c;
-}
-
-bool codec_id_valid(CodecId id) {
-  return (id & kReservedMask) == 0 && ((id >> kIndexShift) & 0x3) <= 2;
 }
 
 std::string codec_name(CodecId id) {
@@ -78,13 +83,18 @@ std::string codec_name(CodecId id) {
   std::string name = std::string("i:") + t(c.index_transform) +
                      ".v:" + t(c.value_transform);
   if (c.snappy) name += "+s";
-  if (c.huffman) name += "+h";
+  if (c.huffman) name += c.interleaved ? "+h" : "+h1";
   return name;
 }
 
 CodecId codec_id_for(const PipelineConfig& cfg) {
   return codec_id(BlockCodec{cfg.index_transform, cfg.value_transform,
-                             cfg.snappy, cfg.huffman});
+                             cfg.snappy, cfg.huffman, cfg.huffman});
+}
+
+CodecId implied_codec_id(const PipelineConfig& cfg) {
+  return codec_id(BlockCodec{cfg.index_transform, cfg.value_transform,
+                             cfg.snappy, cfg.huffman, false});
 }
 
 std::vector<CodecId> candidate_codecs(const PipelineConfig& cfg) {
@@ -96,7 +106,7 @@ std::vector<CodecId> candidate_codecs(const PipelineConfig& cfg) {
   // Baseline first: ties in the trial encoder resolve toward it, so a
   // structureless matrix degenerates to the single-pipeline encoding.
   push(BlockCodec{cfg.index_transform, cfg.value_transform, cfg.snappy,
-                  cfg.huffman});
+                  cfg.huffman, cfg.huffman});
   const Transform index_transforms[] = {cfg.index_transform,
                                         Transform::kDelta32,
                                         Transform::kVarintDelta};
@@ -111,7 +121,7 @@ std::vector<CodecId> candidate_codecs(const PipelineConfig& cfg) {
   for (const Transform it : index_transforms) {
     for (const Transform vt : value_transforms) {
       for (const auto& [snappy, huffman] : entropy) {
-        push(BlockCodec{it, vt, snappy, huffman});
+        push(BlockCodec{it, vt, snappy, huffman, huffman});
       }
     }
   }
@@ -174,7 +184,8 @@ CompressedBlock encode_block(std::span<const sparse::index_t> indices,
     if (mid_size != nullptr) *mid_size = buf.size();
     if (c.huffman) {
       const HuffmanCodec hc(std::shared_ptr<const HuffmanTable>(
-          std::shared_ptr<void>(), table));  // non-owning aliasing ptr
+                                std::shared_ptr<void>(), table),
+                            c.interleaved);  // non-owning aliasing ptr
       buf = hc.encode(buf);
     }
     return buf;

@@ -28,7 +28,12 @@
 //                              3 byte-transpose)
 //   bit  4    snappy
 //   bit  5    huffman
-//   bits 6-7  reserved, must be zero
+//   bit  6    interleaved huffman: the payloads use the 4-lane layout
+//             (huffman.h); valid only together with bit 5. compress()
+//             sets it on every Huffman block; v1/v2 containers never
+//             carry it (their readers rejected it as reserved)
+//   bit  7    reserved, must be zero (kept for separate index/value
+//             Huffman choices)
 #pragma once
 
 #include <cstdint>
@@ -47,12 +52,15 @@ struct BlockCodec {
   Transform value_transform = Transform::kNone;
   bool snappy = true;
   bool huffman = true;
+  // Huffman payloads in the 4-lane interleaved layout. Requires huffman.
+  bool interleaved = false;
 
   bool operator==(const BlockCodec&) const = default;
 };
 
-// Packs a BlockCodec into its stable id. Total function: every
-// representable BlockCodec has an id.
+// Packs a BlockCodec into its stable id. Every representable BlockCodec
+// whose `interleaved` implies `huffman` has an id; the rest is a caller
+// bug (RECODE_CHECK).
 CodecId codec_id(const BlockCodec& c);
 
 // Unpacks an id. Throws recode::Error on reserved bits or out-of-range
@@ -64,11 +72,18 @@ BlockCodec codec_from_id(CodecId id);
 bool codec_id_valid(CodecId id);
 
 // Stable human-readable name, e.g. "i:d32.v:bt+s+h" (used as the
-// telemetry key suffix and in bench output).
+// telemetry key suffix and in bench output). "+h" is Huffman in the
+// interleaved layout compress() writes; "+h1" the 1-lane layout of
+// v1/v2 files.
 std::string codec_name(CodecId id);
 
-// The uniform id a single-pipeline config implies for every block.
+// The id compress() gives every block of cfg's single pipeline: cfg's
+// stages, Huffman in the interleaved layout.
 CodecId codec_id_for(const PipelineConfig& cfg);
+
+// The id a matrix with no recorded per-block ids implies (v1 containers,
+// hand-built matrices): cfg's stages, Huffman in the 1-lane layout.
+CodecId implied_codec_id(const PipelineConfig& cfg);
 
 // Trial-encode candidate set for a matrix-level config, baseline id
 // first. Entropy combinations never exceed the config's stages (a

@@ -28,7 +28,7 @@ PipelineConfig select_pipeline(const sparse::Csr& csr) {
 CodecId select_block_codec(const sparse::BlockStats& stats,
                            const PipelineConfig& cfg) {
   BlockCodec c{cfg.index_transform, cfg.value_transform, cfg.snappy,
-               cfg.huffman};
+               cfg.huffman, cfg.huffman};
   // Index stream: when ~all successive deltas zigzag into one LEB128
   // byte, varint-delta stores the block in ~a quarter of the fixed-width
   // words; otherwise the fixed-width delta stays the safe default

@@ -9,30 +9,45 @@
 namespace recode {
 
 // Accumulates bits MSB-first into a byte vector. The final byte is
-// zero-padded on flush().
+// zero-padded on finish(). Bits gather in a 64-bit accumulator and leave
+// it 32 at a time, so the per-symbol cost of a Huffman encode is a shift,
+// an or and a compare, not a loop over the code's bits.
 class BitWriter {
  public:
+  BitWriter() = default;
+  // Appends after `prefix` (already whole bytes), e.g. a length header.
+  explicit BitWriter(std::vector<std::uint8_t> prefix)
+      : bytes_(std::move(prefix)) {}
+
   // Writes the low `nbits` bits of `value`, most significant first.
   void write(std::uint32_t value, int nbits) {
     RECODE_CHECK(nbits >= 0 && nbits <= 32);
-    for (int i = nbits - 1; i >= 0; --i) {
-      acc_ = static_cast<std::uint8_t>((acc_ << 1) | ((value >> i) & 1u));
-      if (++nacc_ == 8) {
-        bytes_.push_back(acc_);
-        acc_ = 0;
-        nacc_ = 0;
-      }
+    // nacc_ < 32 on entry, so the accumulator never holds more than 63
+    // live bits; the bits above them are stale and masked on the way out.
+    acc_ = (acc_ << nbits) | (value & ((std::uint64_t{1} << nbits) - 1));
+    nacc_ += nbits;
+    if (nacc_ >= 32) {
+      nacc_ -= 32;
+      const auto word = static_cast<std::uint32_t>(acc_ >> nacc_);
+      bytes_.push_back(static_cast<std::uint8_t>(word >> 24));
+      bytes_.push_back(static_cast<std::uint8_t>(word >> 16));
+      bytes_.push_back(static_cast<std::uint8_t>(word >> 8));
+      bytes_.push_back(static_cast<std::uint8_t>(word));
     }
     bit_count_ += static_cast<std::size_t>(nbits);
   }
 
-  // Pads the trailing partial byte with zeros and returns the buffer.
+  // Pads the trailing partial byte with zeros and returns the buffer
+  // (prefix included).
   std::vector<std::uint8_t> finish() {
+    for (; nacc_ >= 8; nacc_ -= 8) {
+      bytes_.push_back(static_cast<std::uint8_t>(acc_ >> (nacc_ - 8)));
+    }
     if (nacc_ > 0) {
       bytes_.push_back(static_cast<std::uint8_t>(acc_ << (8 - nacc_)));
-      acc_ = 0;
-      nacc_ = 0;
     }
+    acc_ = 0;
+    nacc_ = 0;
     return std::move(bytes_);
   }
 
@@ -40,7 +55,7 @@ class BitWriter {
 
  private:
   std::vector<std::uint8_t> bytes_;
-  std::uint8_t acc_ = 0;
+  std::uint64_t acc_ = 0;  // low nacc_ bits are pending output
   int nacc_ = 0;
   std::size_t bit_count_ = 0;
 };

@@ -95,8 +95,31 @@ codec::ByteSpan UdpPipelineDecoder::run_stage(const udp::Layout& layout,
   return codec::ByteSpan(dst, static_cast<std::size_t>(out_len));
 }
 
+codec::ByteSpan UdpPipelineDecoder::run_huffman_stage(
+    const udp::Layout& layout, codec::ByteSpan input, bool interleaved,
+    std::uint64_t& cycles, std::size_t out_slot) {
+  if (!interleaved) return run_stage(layout, input, 0, cycles, out_slot);
+  const codec::HuffmanFrame frame = codec::parse_huffman_frame(input, true);
+  std::uint8_t* dst =
+      arena_.slab(out_slot, static_cast<std::size_t>(frame.count));
+  udp::Lane lane(layout, lane_config_);  // run() resets it per sub-stream
+  for (int k = 0; k < frame.lanes; ++k) {
+    const std::pair<int, std::uint64_t> init[] = {
+        {kHuffmanOutReg, 0},
+        {kHuffmanCountGivenReg, 1},
+        {kHuffmanCountReg, frame.symbols(k)}};
+    cycles += lane.run(frame.streams[k], init).cycles;
+    if (lane.reg(kHuffmanOutReg) != frame.symbols(k)) {
+      fail("udp stage: huffman sub-stream size mismatch");
+    }
+    std::memcpy(dst + frame.first(k), lane.scratch().data(),
+                static_cast<std::size_t>(frame.symbols(k)));
+  }
+  return codec::ByteSpan(dst, static_cast<std::size_t>(frame.count));
+}
+
 codec::ByteSpan UdpPipelineDecoder::decode_stream(
-    codec::ByteSpan data, bool huffman_on, bool snappy_on,
+    codec::ByteSpan data, bool huffman_on, bool interleaved, bool snappy_on,
     codec::Transform transform, const udp::Layout* huffman_layout,
     std::size_t expect_bytes, std::size_t out_slot, StageCycles& cycles) {
   const bool transform_on = transform != codec::Transform::kNone;
@@ -108,9 +131,11 @@ codec::ByteSpan UdpPipelineDecoder::decode_stream(
     RECODE_CHECK(huffman_layout != nullptr);
     const std::size_t stage_in = buf.size();
     telemetry::StageTimer lt(ledger.hop(telemetry::Hop::kHuffman).ns);
-    buf = run_stage(*huffman_layout, buf, 0, cycles.huffman,
-                    (snappy_on || transform_on) ? codec::DecodeArena::kScratchA
-                                                : out_slot);
+    buf = run_huffman_stage(*huffman_layout, buf, interleaved,
+                            cycles.huffman,
+                            (snappy_on || transform_on)
+                                ? codec::DecodeArena::kScratchA
+                                : out_slot);
     ledger.flow(telemetry::Hop::kHuffman, stage_in, buf.size());
   } else {
     ledger.pass_through(telemetry::Hop::kHuffman, buf.size());
@@ -171,11 +196,11 @@ BlockResult UdpPipelineDecoder::decode_block(std::size_t b,
 
   BlockResult result;
   const codec::ByteSpan idx_bytes = decode_stream(
-      index_data, bc.huffman, bc.snappy, bc.index_transform,
+      index_data, bc.huffman, bc.interleaved, bc.snappy, bc.index_transform,
       index_huffman_layout_.get(), count * sizeof(sparse::index_t),
       codec::DecodeArena::kIndexOut, result.index_cycles);
   const codec::ByteSpan val_bytes = decode_stream(
-      value_data, bc.huffman, bc.snappy, bc.value_transform,
+      value_data, bc.huffman, bc.interleaved, bc.snappy, bc.value_transform,
       value_huffman_layout_.get(), count * sizeof(double),
       codec::DecodeArena::kValueOut, result.value_cycles);
 

@@ -73,13 +73,23 @@ class UdpPipelineDecoder {
                             std::uint64_t init_count, std::uint64_t& cycles,
                             std::size_t out_slot);
 
+  // The Huffman stage: one program run over a 1-lane payload, or one run
+  // per sub-stream of an interleaved payload (count supplied in R1, the
+  // jump header parsed by codec::parse_huffman_frame), each lane's
+  // symbols landing at its offset in out_slot.
+  codec::ByteSpan run_huffman_stage(const udp::Layout& layout,
+                                    codec::ByteSpan input, bool interleaved,
+                                    std::uint64_t& cycles,
+                                    std::size_t out_slot);
+
   // Stage intermediates ping-pong between the arena's scratch slabs; the
   // last stage lands in out_slot. Zero heap allocations once the arena is
   // warm (the lane's own scratchpad aside — that models UDP hardware).
   // The stage flags come from the block's codec (codec/registry.h), so
   // mixed-id streams dispatch per block like the host engines.
   codec::ByteSpan decode_stream(codec::ByteSpan data, bool huffman_on,
-                                bool snappy_on, codec::Transform transform,
+                                bool interleaved, bool snappy_on,
+                                codec::Transform transform,
                                 const udp::Layout* huffman_layout,
                                 std::size_t expect_bytes, std::size_t out_slot,
                                 StageCycles& cycles);

@@ -29,7 +29,9 @@ udp::Program build_delta_encode_program();
 // Canonical-Huffman bit packing with the table baked into the dispatch
 // arcs (inverse of huffman_prog). Input: raw bytes on the stream.
 // Output at kEncodeOutBase: varint(count) + MSB-first bitstream —
-// byte-identical to codec::HuffmanCodec::encode.
+// byte-identical to codec::HuffmanCodec::encode in the 1-lane layout.
+// An interleaved payload is four such runs (one per sub-stream, without
+// the varint) behind the jump header (huffman.h).
 udp::Program build_huffman_encode_program(const codec::HuffmanTable& table);
 
 }  // namespace recode::udpprog

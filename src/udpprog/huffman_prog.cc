@@ -11,9 +11,11 @@ using codec::kMaxCodeLen;
 udp::Program build_huffman_decode_program(const HuffmanTable& table) {
   Program p;
 
-  // Registers: R1 symbol count (varint), R2 varint byte, R3 symbol,
-  // R5 output cursor, R6 varint shift, R7 tmp.
-  constexpr int kR1 = 1, kR2 = 2, kR3 = 3, kR5 = kHuffmanOutReg, kR6 = 6,
+  // Registers: R1 symbol count (varint or supplied), R2 varint byte,
+  // R3 symbol, R4 count-supplied flag, R5 output cursor, R6 varint shift,
+  // R7 tmp.
+  constexpr int kR1 = kHuffmanCountReg, kR2 = 2, kR3 = 3,
+                kR4 = kHuffmanCountGivenReg, kR5 = kHuffmanOutReg, kR6 = 6,
                 kR7 = 7;
 
   DispatchSpec direct;
@@ -21,6 +23,11 @@ udp::Program build_huffman_decode_program(const HuffmanTable& table) {
 
   DispatchSpec halt_spec;
   halt_spec.kind = DispatchKind::kHalt;
+
+  DispatchSpec entry_spec;
+  entry_spec.kind = DispatchKind::kRegisterBool;
+  entry_spec.reg = kR4;
+  const StateId entry = p.add_state("entry", entry_spec);
 
   const StateId vint = p.add_state("vint", direct);
 
@@ -42,6 +49,10 @@ udp::Program build_huffman_decode_program(const HuffmanTable& table) {
   const StateId l1 = p.add_state("l1", l1_spec);
 
   const StateId halt = p.add_state("halt", halt_spec);
+
+  // --- entry: a supplied count skips the in-stream varint ---
+  p.add_arc(entry, 0, {}, vint);
+  p.add_arc(entry, 1, {}, check);
 
   // --- varint(symbol count) parse ---
   p.add_arc(vint, 0, {act::stream_read_bits(kR2, Operand::immediate(8))},
@@ -112,7 +123,7 @@ udp::Program build_huffman_decode_program(const HuffmanTable& table) {
     }
   }
 
-  p.set_entry(vint);
+  p.set_entry(entry);
   p.validate();
   return p;
 }

@@ -42,8 +42,9 @@ TEST(CodecRegistry, IdPackingRoundTripsEveryValidId) {
       EXPECT_THROW(recode::codec::codec_from_id(id), recode::Error);
     }
   }
-  // 3 index transforms x 4 value transforms x 2 snappy x 2 huffman.
-  EXPECT_EQ(48, valid);
+  // 3 index transforms x 4 value transforms x 2 snappy x 3 entropy
+  // choices (no huffman, 1-lane huffman, interleaved huffman).
+  EXPECT_EQ(72, valid);
 }
 
 TEST(CodecRegistry, UnknownIdMessageNamesTheId) {
@@ -62,8 +63,34 @@ TEST(CodecRegistry, NamesAreStable) {
   BlockCodec bt;
   bt.index_transform = Transform::kVarintDelta;
   bt.value_transform = Transform::kByteTranspose;
+  bt.interleaved = true;
   EXPECT_EQ("i:vd.v:bt+s+h",
             recode::codec::codec_name(recode::codec::codec_id(bt)));
+  // The 1-lane Huffman layout of v1/v2 files names itself apart.
+  EXPECT_EQ("i:d32.v:none+s+h1",
+            recode::codec::codec_name(
+                recode::codec::implied_codec_id(PipelineConfig::udp_dsh())));
+}
+
+TEST(CodecRegistry, InterleavedBitRequiresHuffman) {
+  BlockCodec bc;
+  bc.interleaved = true;
+  const CodecId id = recode::codec::codec_id(bc);
+  EXPECT_EQ(0x40, id & 0x40);
+  EXPECT_TRUE(recode::codec::codec_from_id(id).interleaved);
+  EXPECT_EQ(id, recode::codec::codec_id_for(PipelineConfig::udp_dsh()));
+  EXPECT_EQ(id & ~0x40, recode::codec::implied_codec_id(
+                            PipelineConfig::udp_dsh()));
+  // Bit 6 without bit 5 and bit 7 stay unknown ids.
+  EXPECT_FALSE(recode::codec::codec_id_valid(0x40));
+  EXPECT_FALSE(recode::codec::codec_id_valid(id & ~0x20));
+  EXPECT_FALSE(recode::codec::codec_id_valid(id | 0x80));
+  // compress() writes the interleaved id on every Huffman candidate.
+  for (const CodecId cand :
+       recode::codec::candidate_codecs(PipelineConfig::udp_adaptive())) {
+    const BlockCodec c = recode::codec::codec_from_id(cand);
+    EXPECT_EQ(c.huffman, c.interleaved) << int{cand};
+  }
 }
 
 TEST(CodecRegistry, CandidateSetStartsWithBaselineAndIncludesStored) {

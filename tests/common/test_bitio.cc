@@ -32,6 +32,35 @@ TEST(BitWriter, TracksBitCount) {
   EXPECT_EQ(w.bit_count(), 16u);
 }
 
+// The word-wise accumulator must emit exactly the bytes a one-bit-at-a-
+// time packer does, for every width 0..32 and with stray bits above
+// `nbits` in the value (write() takes only the low nbits).
+TEST(BitWriter, WordWiseMatchesBitByBitPacking) {
+  Prng prng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    BitWriter w;
+    std::vector<std::uint8_t> want;
+    std::uint8_t cur = 0;
+    int ncur = 0;
+    const int n = static_cast<int>(prng.next_below(300));
+    for (int i = 0; i < n; ++i) {
+      const int nbits = static_cast<int>(prng.next_below(33));
+      const auto value = static_cast<std::uint32_t>(prng.next());
+      w.write(value, nbits);
+      for (int b = nbits - 1; b >= 0; --b) {
+        cur = static_cast<std::uint8_t>((cur << 1) | ((value >> b) & 1u));
+        if (++ncur == 8) {
+          want.push_back(cur);
+          cur = 0;
+          ncur = 0;
+        }
+      }
+    }
+    if (ncur > 0) want.push_back(static_cast<std::uint8_t>(cur << (8 - ncur)));
+    EXPECT_EQ(w.finish(), want) << "trial " << trial;
+  }
+}
+
 TEST(BitReader, ReadsBackWhatWriterWrote) {
   Prng prng(42);
   std::vector<std::pair<std::uint32_t, int>> items;

@@ -1,10 +1,11 @@
-// Container v2 compatibility + hostile-input battery (ISSUE 7).
+// Container v2/v3 compatibility + hostile-input battery.
 //
 // Three contracts pinned here:
-//  1. v1 `.rcm` files keep loading bitwise after the v2 layout change —
-//     the checked-in goldens (tests/data/golden_v1_*.rcm) were written
-//     by the pre-registry encoder and must decode to the exact matrices
-//     (and the exact SpMV results) the regenerated sources produce.
+//  1. v1 and v2 `.rcm` files keep loading bitwise after each layout
+//     change — the checked-in goldens (tests/data/golden_v1_*.rcm, by
+//     the pre-registry encoder; golden_v2_dsh.rcm, by the last 1-lane
+//     Huffman encoder) must decode to the exact matrices (and the exact
+//     SpMV results) the regenerated sources produce.
 //  2. The per-block codec-id byte is validated through the registry
 //     gate: unknown ids, reserved bits, and huffman-stage ids in a
 //     tableless container throw recode::Error — from read_compressed
@@ -17,6 +18,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,11 +93,12 @@ TEST(ContainerV2, GoldenV1DshLoadsBitwise) {
   const CompressedMatrix cm =
       recode::codec::read_compressed_file(golden_path("golden_v1_dsh.rcm"));
   EXPECT_EQ(cm.config.selection, recode::codec::CodecSelection::kSingle);
-  // v1 has no per-block ids: the uniform config id is synthesized.
+  // v1 has no per-block ids: the config's implied (1-lane Huffman) id
+  // is synthesized.
   ASSERT_EQ(cm.block_codecs.size(), cm.blocks.size());
   for (std::size_t b = 0; b < cm.blocks.size(); ++b) {
     EXPECT_EQ(cm.block_codec_id(b),
-              recode::codec::codec_id_for(cm.config));
+              recode::codec::implied_codec_id(cm.config));
   }
   const Csr src = recode::sparse::gen_stencil2d(
       40, 25, ValueModel::kStencilCoeffs, 42);
@@ -114,15 +117,81 @@ TEST(ContainerV2, GoldenV1VarintSnappyLoadsBitwise) {
   expect_same_spmv(cm, src, cfg);
 }
 
-TEST(ContainerV2, V1RewritesToV2AndStaysBitwise) {
+// The last v2 file the 1-lane encoder wrote (same source and config as
+// golden_v1_dsh.rcm): once compress() writes only interleaved Huffman
+// payloads, this pins the 1-lane decode path on v2's per-block ids.
+TEST(ContainerV2, GoldenV2DshLoadsBitwise) {
+  const CompressedMatrix cm =
+      recode::codec::read_compressed_file(golden_path("golden_v2_dsh.rcm"));
+  ASSERT_EQ(cm.block_codecs.size(), cm.blocks.size());
+  for (std::size_t b = 0; b < cm.blocks.size(); ++b) {
+    EXPECT_EQ(cm.block_codec_id(b),
+              recode::codec::implied_codec_id(cm.config));
+    EXPECT_FALSE(
+        recode::codec::codec_from_id(cm.block_codec_id(b)).interleaved);
+  }
+  const Csr src = recode::sparse::gen_stencil2d(
+      40, 25, ValueModel::kStencilCoeffs, 42);
+  expect_same_matrix(cm, src);
+  expect_same_spmv(cm, src, PipelineConfig::udp_dsh());
+  // The UDP engine reads the 1-lane layout too.
+  recode::udpprog::UdpPipelineDecoder udp(cm);
+  std::vector<recode::sparse::index_t> idx;
+  std::vector<double> val;
+  for (std::size_t b = 0; b < cm.blocks.size(); ++b) {
+    recode::codec::decompress_block(cm, b, idx, val);
+    const auto r = udp.decode_block(b);
+    EXPECT_EQ(r.indices, idx);
+    EXPECT_EQ(0, std::memcmp(r.values.data(), val.data(),
+                             val.size() * sizeof(double)));
+  }
+}
+
+// A v2 file carrying bit 6 (new in v3) is rejected with the message v2
+// readers gave for the then-reserved bit, by every reader.
+TEST(ContainerV2, InterleavedBitInV2FileIsRejected) {
+  const std::string path = golden_path("golden_v2_dsh.rcm");
+  const auto layout = recode::codec::read_container_layout_file(path);
+  ASSERT_EQ(2u, layout.version);
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  const std::size_t id_at = static_cast<std::size_t>(layout.index.offsets[0]);
+  const CodecId tampered = static_cast<CodecId>(
+      static_cast<std::uint8_t>(bytes[id_at]) | 0x40);
+  ASSERT_TRUE(recode::codec::codec_id_valid(tampered));
+  bytes[id_at] = static_cast<char>(tampered);
+  const std::string want =
+      "codec registry: unknown codec id " + std::to_string(tampered);
+  try {
+    parse(recode::codec::Bytes(bytes.begin(), bytes.end()));
+    ADD_FAILURE() << "expected recode::Error";
+  } catch (const recode::Error& e) {
+    EXPECT_EQ(want, e.what());
+  }
+  std::stringstream io(bytes);
+  try {
+    recode::codec::read_container_layout(io);
+    ADD_FAILURE() << "expected recode::Error";
+  } catch (const recode::Error& e) {
+    EXPECT_EQ(want, e.what());
+  }
+}
+
+TEST(ContainerV2, V1RewritesToV3AndStaysBitwise) {
   const CompressedMatrix v1 =
       recode::codec::read_compressed_file(golden_path("golden_v1_dsh.rcm"));
-  const CompressedMatrix v2 = parse(serialize(v1));
-  ASSERT_EQ(v2.blocks.size(), v1.blocks.size());
-  EXPECT_EQ(v2.block_codecs, v1.block_codecs);
+  const recode::codec::Bytes rewritten = serialize(v1);
+  std::uint32_t version = 0;
+  std::memcpy(&version, rewritten.data() + 4, sizeof(version));
+  EXPECT_EQ(recode::codec::kContainerVersion, version);
+  EXPECT_EQ(3u, version);
+  const CompressedMatrix v3 = parse(rewritten);
+  ASSERT_EQ(v3.blocks.size(), v1.blocks.size());
+  EXPECT_EQ(v3.block_codecs, v1.block_codecs);
   for (std::size_t b = 0; b < v1.blocks.size(); ++b) {
-    EXPECT_EQ(v2.blocks[b].index_data, v1.blocks[b].index_data);
-    EXPECT_EQ(v2.blocks[b].value_data, v1.blocks[b].value_data);
+    EXPECT_EQ(v3.blocks[b].index_data, v1.blocks[b].index_data);
+    EXPECT_EQ(v3.blocks[b].value_data, v1.blocks[b].value_data);
   }
 }
 

@@ -6,7 +6,9 @@
 
 #include <cstring>
 
+#include "codec/huffman.h"
 #include "codec/pipeline.h"
+#include "codec/registry.h"
 #include "common/prng.h"
 #include "sparse/generators.h"
 #include "udpprog/block_decoder.h"
@@ -21,8 +23,7 @@ using sparse::ValueModel;
 
 // Decodes every block of cm on both paths and compares bitwise. Returns
 // the number of blocks compared.
-std::size_t diff_blocks(const Csr& csr, const PipelineConfig& cfg) {
-  const CompressedMatrix cm = codec::compress(csr, cfg);
+std::size_t diff_blocks(const CompressedMatrix& cm) {
   udpprog::UdpPipelineDecoder udp(cm);
   std::vector<sparse::index_t> host_indices;
   std::vector<double> host_values;
@@ -41,6 +42,26 @@ std::size_t diff_blocks(const Csr& csr, const PipelineConfig& cfg) {
         << "value stream differs in block " << b;
   }
   return cm.blocks.size();
+}
+
+std::size_t diff_blocks(const Csr& csr, const PipelineConfig& cfg) {
+  return diff_blocks(codec::compress(csr, cfg));
+}
+
+// cm with every Huffman block's payloads rewritten in the 1-lane layout
+// under the implied id — what a v1/v2 file holds.
+CompressedMatrix as_one_lane(CompressedMatrix cm) {
+  const codec::HuffmanCodec idx4(cm.index_table, true), val4(cm.value_table, true);
+  const codec::HuffmanCodec idx1(cm.index_table), val1(cm.value_table);
+  for (std::size_t b = 0; b < cm.blocks.size(); ++b) {
+    codec::BlockCodec bc = codec::codec_from_id(cm.block_codecs[b]);
+    if (!bc.interleaved) continue;
+    cm.blocks[b].index_data = idx1.encode(idx4.decode(cm.blocks[b].index_data));
+    cm.blocks[b].value_data = val1.encode(val4.decode(cm.blocks[b].value_data));
+    bc.interleaved = false;
+    cm.block_codecs[b] = codec::codec_id(bc);
+  }
+  return cm;
 }
 
 TEST(Differential, UdpMatchesHostOnHundredBlocks) {
@@ -62,6 +83,30 @@ TEST(Differential, UdpMatchesHostOnHundredBlocks) {
       sparse::gen_stencil2d(100, 120, ValueModel::kStencilCoeffs, seed + 3),
       PipelineConfig::udp_dsh());
   EXPECT_GE(blocks, 100u);
+}
+
+// Both Huffman layouts through both engines: compress() writes every
+// Huffman block interleaved (the UDP runs its program once per
+// sub-stream), and the same blocks re-encoded in the 1-lane layout
+// decode through the in-program varint path. Adaptive selection mixes
+// Huffman and non-Huffman ids in one matrix.
+TEST(Differential, UdpMatchesHostOnBothHuffmanLayouts) {
+  const std::uint64_t seed = test_seed(403);
+  const Csr csr =
+      sparse::gen_fem_like(2500, 9, 80, ValueModel::kSmoothField, seed);
+  for (const PipelineConfig& cfg :
+       {PipelineConfig::udp_dsh(), PipelineConfig::udp_adaptive()}) {
+    const CompressedMatrix cm = codec::compress(csr, cfg);
+    std::size_t interleaved = 0;
+    for (const codec::CodecId id : cm.block_codecs) {
+      const codec::BlockCodec bc = codec::codec_from_id(id);
+      EXPECT_EQ(bc.huffman, bc.interleaved);
+      interleaved += bc.interleaved ? 1 : 0;
+    }
+    EXPECT_GT(interleaved, 0u);
+    EXPECT_GT(diff_blocks(cm), 10u);
+    diff_blocks(as_one_lane(cm));
+  }
 }
 
 TEST(Differential, UdpMatchesHostOnRandomStructures) {

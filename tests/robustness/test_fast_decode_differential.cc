@@ -264,6 +264,218 @@ TEST(FastDecodeDifferential, HuffmanStreamCorruptionParity) {
   EXPECT_GT(rejected, 0);
 }
 
+// ---- The 4-lane interleaved Huffman layout (huffman.h) ----
+
+struct StreamOutcome {
+  bool ok = false;
+  std::string error;
+  Bytes out;
+
+  bool operator==(const StreamOutcome&) const = default;
+};
+
+StreamOutcome reference_stream(const codec::HuffmanCodec& codec,
+                               const Bytes& stream) {
+  StreamOutcome r;
+  try {
+    r.out = codec.decode(stream);
+    r.ok = true;
+  } catch (const recode::Error& e) {
+    r.error = e.what();
+  }
+  return r;
+}
+
+// The lane-generic fast decoder into an exact-size heap buffer: no slop,
+// so under ASan any store past the lanes' output ranges is caught.
+StreamOutcome fast_stream(const codec::HuffmanTable& table,
+                          const Bytes& stream, bool interleaved) {
+  StreamOutcome r;
+  try {
+    const std::uint64_t n =
+        codec::parse_huffman_frame(stream, interleaved).count;
+    std::vector<std::uint8_t> dst(static_cast<std::size_t>(n));
+    const std::size_t got =
+        codec::fast::huffman_decode(table, stream, dst.data(), interleaved);
+    r.out.assign(dst.begin(), dst.begin() + static_cast<std::ptrdiff_t>(got));
+    r.ok = true;
+  } catch (const recode::Error& e) {
+    r.error = e.what();
+  }
+  return r;
+}
+
+void expect_stream_parity(const codec::HuffmanCodec& ref_codec,
+                          const codec::HuffmanTable& table,
+                          const Bytes& stream, const std::string& context) {
+  const StreamOutcome ref = reference_stream(ref_codec, stream);
+  const StreamOutcome fast = fast_stream(table, stream, true);
+  EXPECT_EQ(ref.ok, fast.ok) << context << " ref_err=" << ref.error
+                             << " fast_err=" << fast.error;
+  EXPECT_EQ(ref.error, fast.error) << context;
+  EXPECT_EQ(ref.out, fast.out) << context;
+}
+
+std::shared_ptr<const codec::HuffmanTable> skewed_table(std::uint64_t seed) {
+  Prng prng(seed);
+  Bytes sample(1 << 12);
+  for (auto& b : sample) {
+    b = prng.next_below(100) < 70
+            ? static_cast<std::uint8_t>(prng.next_below(8))
+            : static_cast<std::uint8_t>(prng.next());
+  }
+  return std::make_shared<const codec::HuffmanTable>(
+      codec::HuffmanTable::train(sample));
+}
+
+// Every symbol count around the lane split (n < 4 leaves lanes empty;
+// n = 5, 7, 9 leave the last lane short), plus counts whose sub-streams
+// are shorter than, equal to and longer than the 8-byte word step.
+TEST(FastDecodeDifferential, InterleavedSymbolCountsBitwiseIdentical) {
+  const auto table = skewed_table(512);
+  const codec::HuffmanCodec codec(table, /*interleaved=*/true);
+  Prng prng(513);
+  for (const std::size_t n :
+       {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 31, 32, 33, 47, 64, 100, 1000, 4099}) {
+    Bytes raw(n);
+    for (auto& b : raw) b = static_cast<std::uint8_t>(prng.next_below(40));
+    const Bytes enc = codec.encode(raw);
+    const codec::HuffmanFrame f = codec::parse_huffman_frame(enc, true);
+    ASSERT_EQ(n, f.count);
+    ASSERT_EQ(codec::kHuffmanLanes, f.lanes);
+    std::uint64_t total = 0;
+    for (int k = 0; k < f.lanes; ++k) {
+      EXPECT_EQ(total, f.first(k));
+      total += f.symbols(k);
+      if (f.symbols(k) == 0) {
+        EXPECT_TRUE(f.streams[k].empty());
+      }
+    }
+    EXPECT_EQ(n, total);
+    const std::string ctx = "n=" + std::to_string(n);
+    EXPECT_EQ(raw, reference_stream(codec, enc).out) << ctx;
+    expect_stream_parity(codec, *table, enc, ctx);
+  }
+}
+
+// One lane far shorter than its siblings in bytes: its symbols all take
+// the shortest code, so the interleaved loop stops on it early and the
+// other lanes finish alone.
+TEST(FastDecodeDifferential, InterleavedUnevenLanesBitwiseIdentical) {
+  const auto table = skewed_table(514);
+  const codec::HuffmanCodec codec(table, /*interleaved=*/true);
+  std::uint8_t shortest = 0;
+  for (int s = 0; s < 256; ++s) {
+    if (table->length(static_cast<std::uint8_t>(s)) <
+        table->length(shortest)) {
+      shortest = static_cast<std::uint8_t>(s);
+    }
+  }
+  Prng prng(515);
+  for (int lane = 0; lane < codec::kHuffmanLanes; ++lane) {
+    Bytes raw(2000);
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      raw[i] = i / 500 == static_cast<std::size_t>(lane)
+                   ? shortest
+                   : static_cast<std::uint8_t>(prng.next());
+    }
+    const Bytes enc = codec.encode(raw);
+    EXPECT_EQ(raw, reference_stream(codec, enc).out);
+    expect_stream_parity(codec, *table, enc, "short lane " +
+                                                 std::to_string(lane));
+  }
+}
+
+// Hand-built jump headers: lengths summing past the payload, a single
+// length past it, an overlong (overflowing) varint, and a header cut
+// short. Each must fail identically in both decoders.
+TEST(FastDecodeDifferential, InterleavedJumpHeaderErrorsIdentical) {
+  const auto table = skewed_table(516);
+  const codec::HuffmanCodec codec(table, /*interleaved=*/true);
+  const auto frame = [](std::uint64_t n, std::vector<std::uint64_t> jumps,
+                        std::size_t body) {
+    Bytes s;
+    varint_append(s, n);
+    for (const std::uint64_t j : jumps) varint_append(s, j);
+    s.resize(s.size() + body, 0x5A);
+    return s;
+  };
+  struct Case {
+    const char* name;
+    Bytes stream;
+    const char* error;
+  };
+  Bytes overlong;
+  varint_append(overlong, 3);
+  overlong.insert(overlong.end(), 11, 0xFF);
+  overlong.push_back(0x01);
+  const std::vector<Case> cases = {
+      {"sum past payload", frame(8, {4, 4, 4}, 10),
+       "huffman: sub-stream lengths exceed stream"},
+      {"one length past payload", frame(8, {0, 0, 40}, 10),
+       "huffman: sub-stream lengths exceed stream"},
+      {"huge length", frame(8, {~std::uint64_t{0}, 1, 1}, 10),
+       "huffman: sub-stream lengths exceed stream"},
+      {"overlong varint", overlong, "varint: overlong encoding"},
+      {"cut header", frame(0, {1}, 0), "varint: truncated stream"},
+      {"count past capacity", frame(800, {1, 1, 1}, 4),
+       "huffman: declared count exceeds stream capacity"},
+      {"empty lanes, symbols owed", frame(4, {0, 0, 0}, 0),
+       "huffman: truncated stream"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const StreamOutcome ref = reference_stream(codec, c.stream);
+    EXPECT_FALSE(ref.ok);
+    EXPECT_EQ(c.error, ref.error);
+    expect_stream_parity(codec, *table, c.stream, c.name);
+  }
+}
+
+// CorruptionEngine mutations aimed at the jump header alone, at the
+// sub-stream bytes alone, and at the whole payload.
+TEST(FastDecodeDifferential, InterleavedCorruptionParity) {
+  const auto table = skewed_table(517);
+  const codec::HuffmanCodec codec(table, /*interleaved=*/true);
+  Prng prng(518);
+  Bytes raw(3000);
+  for (auto& b : raw) b = static_cast<std::uint8_t>(prng.next_below(64));
+  const Bytes clean = codec.encode(raw);
+  const Bytes sibling = codec.encode(Bytes(raw.begin(), raw.begin() + 300));
+  const codec::HuffmanFrame f = codec::parse_huffman_frame(clean, true);
+  const std::size_t header =
+      static_cast<std::size_t>(f.streams[0].data() - clean.data());
+  const ByteSpan head(clean.data(), header);
+  const ByteSpan body(clean.data() + header, clean.size() - header);
+
+  CorruptionEngine engine(test_seed(519));
+  int rejected = 0;
+  int checked = 0;
+  const auto check = [&](const Bytes& variant, const std::string& ctx) {
+    expect_stream_parity(codec, *table, variant, ctx);
+    rejected += reference_stream(codec, variant).ok ? 0 : 1;
+    ++checked;
+  };
+  for (int i = 0; i < 40; ++i) {
+    // Header-only: flips inside the count + jump varints, then the
+    // untouched sub-streams.
+    Bytes h = engine.bit_flip(head, 1 + static_cast<int>(prng.next_below(3)));
+    h.insert(h.end(), body.begin(), body.end());
+    check(h, "header flip " + std::to_string(i));
+    // Sub-stream-only: the clean header over flipped or cut code bits.
+    Bytes b(head.begin(), head.end());
+    const Bytes mutated = i % 2 == 0 ? engine.bit_flip(body, 1 + i % 5)
+                                     : engine.truncate(body);
+    b.insert(b.end(), mutated.begin(), mutated.end());
+    check(b, "sub-stream mutation " + std::to_string(i));
+  }
+  for (const Bytes& variant : corruption_variants(clean, sibling, 520, 12)) {
+    check(variant, "whole-payload variant");
+  }
+  EXPECT_GT(checked, 100);
+  EXPECT_GT(rejected, 0) << "corruption model never tripped the decoder";
+}
+
 TEST(FastDecodeDifferential, SnappyStreamCorruptionParity) {
   Prng prng(510);
   Bytes payload(1 << 14);

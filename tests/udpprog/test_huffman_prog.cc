@@ -85,6 +85,37 @@ TEST(HuffmanProg, LongCodesExerciseSecondLevel) {
   EXPECT_EQ(run_udp_huffman(table, encoded), raw);
 }
 
+// An interleaved payload's sub-streams, each run with its symbol count
+// supplied in R1 (R4 = 1) instead of parsed in-program.
+TEST(HuffmanProg, InterleavedSubStreamsWithSuppliedCount) {
+  recode::Prng prng(31);
+  for (const std::size_t n : {0, 1, 3, 5, 9, 2000}) {
+    codec::Bytes raw(n);
+    for (auto& b : raw) b = static_cast<std::uint8_t>(prng.next_below(24));
+    auto table = trained(raw.empty() ? codec::Bytes{1} : raw);
+    const HuffmanCodec sw(table, /*interleaved=*/true);
+    const codec::Bytes encoded = sw.encode(raw);
+    const codec::HuffmanFrame frame =
+        codec::parse_huffman_frame(encoded, true);
+    const udp::Program program = build_huffman_decode_program(*table);
+    const udp::Layout layout(program);
+    codec::Bytes got;
+    for (int k = 0; k < frame.lanes; ++k) {
+      udp::Lane lane(layout);
+      const std::pair<int, std::uint64_t> init[] = {
+          {kHuffmanOutReg, 0},
+          {kHuffmanCountGivenReg, 1},
+          {kHuffmanCountReg, frame.symbols(k)}};
+      lane.run(frame.streams[k], init);
+      ASSERT_EQ(frame.symbols(k), lane.reg(kHuffmanOutReg));
+      got.insert(got.end(), lane.scratch().begin(),
+                 lane.scratch().begin() +
+                     static_cast<std::ptrdiff_t>(frame.symbols(k)));
+    }
+    EXPECT_EQ(raw, got) << "n=" << n;
+  }
+}
+
 class HuffmanProgFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HuffmanProgFuzz, MatchesSoftwareDecoder) {
